@@ -1,11 +1,13 @@
 """Three-party secure XOR computation: protocols, codes, and exact leakage audits."""
 
 from .analysis import (
+    AffineJoint,
     JointPmf,
     LeakageReport,
     Lemma1Report,
     MonteCarloError,
     RateReport,
+    affine_joint,
     check_lemma1,
     check_rate_region,
     conditional_entropy,
@@ -48,8 +50,8 @@ __all__ = [
     "exact_error_probability",
     "PartyId", "Message", "Transcript", "RunOutcome",
     "run_secure_km", "run_plain_km", "run_zero_error_otp", "run_with_sampling",
-    "JointPmf", "LeakageReport", "RateReport", "Lemma1Report", "MonteCarloError",
-    "enumerate_joint", "entropy", "conditional_entropy", "conditional_mutual_information",
+    "AffineJoint", "JointPmf", "LeakageReport", "RateReport", "Lemma1Report", "MonteCarloError",
+    "affine_joint", "enumerate_joint", "entropy", "conditional_entropy", "conditional_mutual_information",
     "leakage_report", "rate_report", "check_rate_region", "check_lemma1", "monte_carlo_error",
     "ContractViolation", "CapacityError", "ConfigurationError",
 ]

@@ -1,10 +1,13 @@
 """Exact joint-distribution accounting for protocol runs.
 
-The verification core is `enumerate_joint`: it walks every (x, y, k)
-combination, replays the protocol algebra on all of them at once, and
-returns the exact joint pmf of inputs, messages, and output. Privacy and
-conditional-entropy quantities are only ever computed from this exhaustive
-pmf; sampling is used for error rates alone.
+Two exact engines answer the same entropy queries. `affine_joint` uses the
+affine structure of the protocols: every variable is a linear function of the
+uniform (x, k) plus a function of the noise word z = x xor y alone, so a joint
+entropy is a rank plus a sum over the 2^n noise words. `enumerate_joint` is the
+oracle: it walks every (x, y, k) combination, replays the protocol algebra on
+all of them at once, and returns the exact joint pmf of inputs, messages, and
+output. Privacy and conditional-entropy quantities are only ever computed
+exactly; sampling is used for error rates alone.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .protocol import (
 from .source import DsbsParams, binary_entropy
 
 __all__ = [
+    "AffineJoint",
     "JointPmf",
     "LeakageReport",
     "RateReport",
@@ -36,6 +40,7 @@ __all__ = [
     "MonteCarloError",
     "ReportRow",
     "CSV_COLUMNS",
+    "affine_joint",
     "enumerate_joint",
     "entropy",
     "conditional_entropy",
@@ -61,6 +66,11 @@ _SCHEDULE = {
 
 _CHUNK = 1 << 20
 _BINCOUNT_MAX_BITS = 22
+
+# Atoms the affine engine replays through the message-passing code per instance.
+_AFFINE_REPLAYS = 64
+# 2^64 / golden ratio: a stride that spreads samples over every bit of an index.
+_GOLDEN_64 = 0x9E3779B97F4A7C15
 
 
 @dataclass(eq=False)
@@ -92,22 +102,9 @@ class JointPmf:
     def variables(self) -> tuple[str, ...]:
         return tuple(self.widths)
 
-    def _expand(self, variables) -> tuple[str, ...]:
-        if isinstance(variables, str):
-            variables = (variables,)
-        names: list[str] = []
-        for name in variables:
-            if name == "transcript":
-                names.extend(_SCHEDULE[self.protocol])
-            elif name in self.widths:
-                names.append(name)
-            else:
-                raise ConfigurationError(f"unknown variable {name!r}; have {sorted(self.widths)}")
-        return tuple(sorted(set(names)))
-
     def entropy(self, variables) -> float:
         """Exact joint entropy (bits) of a set of atom variables."""
-        key = self._expand(variables)
+        key = _expand(self.protocol, self.widths, variables)
         if key in self._cache:
             return self._cache[key]
         comp = None
@@ -119,32 +116,130 @@ class JointPmf:
             col = self.columns[name].astype(np.int64) << shift
             comp = col if comp is None else comp | col
             shift += w
-        if comp is None:
-            h = 0.0
-        else:
-            if shift <= _BINCOUNT_MAX_BITS:
-                grouped = np.bincount(comp, weights=self.probs, minlength=1 << shift)
-            else:
-                _, inverse = np.unique(comp, return_inverse=True)
-                grouped = np.bincount(inverse, weights=self.probs)
-            nz = grouped[grouped > 0.0]
-            h = float(-np.sum(nz * np.log2(nz)))
+        h = 0.0 if comp is None else _grouped_entropy(comp, shift, self.probs)
         self._cache[key] = h
         return h
 
 
-def entropy(pmf: JointPmf, variables) -> float:
+def _expand(protocol: str, widths: dict[str, int], variables) -> tuple[str, ...]:
+    """Sorted variable names of a set; "transcript" stands for the link payloads."""
+    if isinstance(variables, str):
+        variables = (variables,)
+    names: list[str] = []
+    for name in variables:
+        if name == "transcript":
+            names.extend(_SCHEDULE[protocol])
+        elif name in widths:
+            names.append(name)
+        else:
+            raise ConfigurationError(f"unknown variable {name!r}; have {sorted(widths)}")
+    return tuple(sorted(set(names)))
+
+
+def _grouped_entropy(keys: np.ndarray, bits: int, probs: np.ndarray) -> float:
+    """Entropy (bits) of the `bits`-bit label `keys`, where entry i has mass probs[i]."""
+    # A table of 2^bits bins when it is small or no larger than `keys`; sorting
+    # gives the same sums in the same order, so either way the result is equal.
+    if bits <= _BINCOUNT_MAX_BITS or 1 << bits <= len(keys):
+        grouped = np.bincount(keys, weights=probs, minlength=1 << bits)
+    else:
+        _, inverse = np.unique(keys, return_inverse=True)
+        grouped = np.bincount(inverse, weights=probs)
+    grouped = grouped[grouped > 0.0]
+    terms = np.log2(grouped)
+    terms *= grouped
+    return float(-np.sum(terms))
+
+
+@dataclass(eq=False)
+class AffineJoint:
+    """Exact joint law of (x, y, z, k, per-link payloads, zhat) from its affine form.
+
+    Every variable is A·(x, k) xor C·(z, zhat): x and the key k are uniform and
+    independent of the noise word z = x xor y, and zhat depends on z alone.
+    Given z, a variable set V is uniform on a coset of the image of A_V, so
+    H(V) = rank(A_V) + H(B_V·(z, zhat)), where the rows of B_V span the
+    combinations of V's bits that cancel (x, k). The second term is a sum over
+    the 2^n noise words. Same entropy interface as `JointPmf`.
+
+    `rows[name]` holds one packed row per bit of the variable over the word
+    z | zhat << n | x << 2n | k << 3n, so the (x, k) part sits in the high bits
+    and elimination by leading bit clears it first. `zhat[z]` and `probs[z]`
+    are the decoded sum and the probability of every noise word.
+    """
+
+    protocol: str
+    n: int
+    m: int
+    p: float
+    widths: dict[str, int]
+    rows: dict[str, tuple[int, ...]]
+    zhat: np.ndarray
+    probs: np.ndarray
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    def entropy(self, variables) -> float:
+        """Exact joint entropy (bits) of a set of variables."""
+        key = _expand(self.protocol, self.widths, variables)
+        if key in self._cache:
+            return self._cache[key]
+        basis = _echelon(row for name in key for row in self.rows[name])
+        noise = [row for row in basis if row >> (2 * self.n) == 0]
+        h = len(basis) - len(noise) + self._noise_entropy(noise)
+        self._cache[key] = h
+        return h
+
+    def _noise_entropy(self, noise: list[int]) -> float:
+        """H(B·(z, zhat)) for the rows B, summed over every noise word z."""
+        if not noise:
+            return 0.0
+        n = self.n
+        # Echelon rows that lead below bit n read z alone; n of them fix z, and
+        # with it zhat and every other row.
+        pure = [row for row in noise if row >> n == 0]
+        if len(pure) == n:
+            noise = pure
+        # Column j of B as a packed word over B's rows, for z's bits then zhat's.
+        cols = [sum(((row >> j) & 1) << i for i, row in enumerate(noise)) for j in range(2 * n)]
+        keys = _span_table(cols[:n])
+        if any(cols[n:]):
+            keys ^= _span_table(cols[n:])[self.zhat]
+        return _grouped_entropy(keys, len(noise), self.probs)
+
+
+def _echelon(rows) -> list[int]:
+    """A basis of the span of packed GF(2) rows, with distinct leading bits."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return list(basis.values())
+
+
+def _span_table(cols: list[int]) -> np.ndarray:
+    """The linear map with these columns, evaluated at every input word."""
+    table = np.zeros(1 << len(cols), dtype=np.int64)
+    for j, col in enumerate(cols):
+        np.bitwise_xor(table[: 1 << j], col, out=table[1 << j : 2 << j])
+    return table
+
+
+def entropy(pmf: JointPmf | AffineJoint, variables) -> float:
     return pmf.entropy(variables)
 
 
-def conditional_entropy(pmf: JointPmf, target, given=()) -> float:
+def conditional_entropy(pmf: JointPmf | AffineJoint, target, given=()) -> float:
     """H(target | given) = H(target, given) - H(given)."""
     t = target if not isinstance(target, str) else (target,)
     g = given if not isinstance(given, str) else (given,)
     return pmf.entropy(tuple(t) + tuple(g)) - pmf.entropy(g)
 
 
-def conditional_mutual_information(pmf: JointPmf, a, b, given=()) -> float:
+def conditional_mutual_information(pmf: JointPmf | AffineJoint, a, b, given=()) -> float:
     """I(a; b | given), exact up to floating-point cancellation."""
     a = (a,) if isinstance(a, str) else tuple(a)
     b = (b,) if isinstance(b, str) else tuple(b)
@@ -166,21 +261,9 @@ def enumerate_joint(
     on every call, so the vectorised algebra cannot drift from the protocols
     it claims to summarise.
     """
-    if protocol_id not in PROTOCOL_IDS:
-        raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
     n = params.n
-    if protocol_id == "zero-error-otp":
-        if code is not None and code.n != n:
-            raise ContractViolation(f"code length {code.n} != source length {n}")
-        m, mlen, klen = n, n, n
-        synd = leaders = None
-    else:
-        if code is None:
-            raise ConfigurationError(f"{protocol_id} needs a code")
-        if code.n != n:
-            raise ContractViolation(f"code length {code.n} != source length {n}")
-        m, mlen = code.m, code.m
-        klen = code.m if protocol_id == "secure-km" else 0
+    m, mlen, klen = _dimensions(protocol_id, code, n)
+    if protocol_id != "zero-error-otp":
         synd, leaders = code.syndrome_table(), code.leaders
     total_bits = 2 * n + klen
     if total_bits > guard_bits:
@@ -228,28 +311,125 @@ def enumerate_joint(
     return pmf
 
 
+def _dimensions(protocol_id: str, code: LinearCode | None, n: int) -> tuple[int, int, int]:
+    """(m, syndrome length, key length) of one instance, after checking the code."""
+    if protocol_id not in PROTOCOL_IDS:
+        raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
+    if protocol_id == "zero-error-otp":
+        if code is not None and code.n != n:
+            raise ContractViolation(f"code length {code.n} != source length {n}")
+        return n, n, n
+    if code is None:
+        raise ConfigurationError(f"{protocol_id} needs a code")
+    if code.n != n:
+        raise ContractViolation(f"code length {code.n} != source length {n}")
+    return code.m, code.m, code.m if protocol_id == "secure-km" else 0
+
+
+def _replay(protocol_id: str, code: LinearCode | None, n: int,
+            x: int, y: int, k: int, klen: int) -> dict[str, int]:
+    """Every variable of one (x, y, k) atom, from a run of the message-passing code."""
+    xv, yv, kv = Gf2Vector(x, n), Gf2Vector(y, n), Gf2Vector(k, klen)
+    if protocol_id == "secure-km":
+        out = run_secure_km(code, xv, yv, kv)
+    elif protocol_id == "plain-km":
+        out = run_plain_km(code, xv, yv)
+    else:
+        out = run_zero_error_otp(xv, yv, kv)
+    t = out.transcript
+    return {
+        "x": x, "y": y, "z": x ^ y, "k": k,
+        "m12": t.link_payload(PartyId.ALICE, PartyId.BOB).bits,
+        "m13": t.link_payload(PartyId.ALICE, PartyId.CHARLIE).bits,
+        "m23": t.link_payload(PartyId.BOB, PartyId.CHARLIE).bits,
+        "zhat": out.z_hat.bits,
+    }
+
+
 def _replay_check(pmf: JointPmf, code: LinearCode | None, samples: int) -> None:
     stride = max(pmf.size // samples, 1)
-    cols = pmf.columns
     for i in range(0, pmf.size, stride):
-        x = Gf2Vector(int(cols["x"][i]), pmf.n)
-        y = Gf2Vector(int(cols["y"][i]), pmf.n)
-        k = Gf2Vector(int(cols["k"][i]), pmf.widths["k"])
-        if pmf.protocol == "secure-km":
-            out = run_secure_km(code, x, y, k)
-        elif pmf.protocol == "plain-km":
-            out = run_plain_km(code, x, y)
-        else:
-            out = run_zero_error_otp(x, y, k)
-        t = out.transcript
-        ok = (
-            t.link_payload(PartyId.ALICE, PartyId.BOB).bits == int(cols["m12"][i])
-            and t.link_payload(PartyId.ALICE, PartyId.CHARLIE).bits == int(cols["m13"][i])
-            and t.link_payload(PartyId.BOB, PartyId.CHARLIE).bits == int(cols["m23"][i])
-            and out.z_hat.bits == int(cols["zhat"][i])
-        )
-        if not ok:
+        atom = {name: int(col[i]) for name, col in pmf.columns.items()}
+        want = _replay(pmf.protocol, code, pmf.n, atom["x"], atom["y"], atom["k"], pmf.widths["k"])
+        if atom != want:
             raise RuntimeError(f"enumerated atom {i} disagrees with protocol replay")
+
+
+def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> AffineJoint:
+    """Exact joint law of one instance from its affine description; 2^n noise words.
+
+    Every call evaluates the description at a spread sample of (x, y, k) atoms
+    and compares it with a replay through the message-passing engine, so the
+    algebra cannot drift from the protocols it claims to summarise.
+    """
+    n = params.n
+    m, mlen, klen = _dimensions(protocol_id, code, n)
+    if n > ENUMERATION_GUARD_BITS:
+        raise CapacityError(
+            f"exact leakage sums 2^{n} noise words, guard is 2^{ENUMERATION_GUARD_BITS}"
+        )
+    if protocol_id == "zero-error-otp":
+        zhat = np.arange(1 << n, dtype=np.int64)
+    else:
+        zhat = code.leaders[code.syndrome_table()]
+    rows = _affine_rows(protocol_id, code, n, mlen, klen)
+    ptable = np.array([params.p**d * (1.0 - params.p) ** (n - d) for d in range(n + 1)])
+    joint = AffineJoint(
+        protocol=protocol_id, n=n, m=m, p=params.p,
+        widths={name: len(r) for name, r in rows.items()}, rows=rows, zhat=zhat,
+        probs=ptable[np.bitwise_count(np.arange(1 << n, dtype=np.int64))],
+    )
+    _replay_affine(joint, code)
+    return joint
+
+
+def _affine_rows(protocol_id: str, code: LinearCode | None, n: int,
+                 mlen: int, klen: int) -> dict[str, tuple[int, ...]]:
+    """One packed row per variable bit over the word z | zhat << n | x << 2n | k << 3n."""
+    Z, ZH, X, K = 0, n, 2 * n, 3 * n
+    eye = [1 << i for i in range(n)]
+    # The map each party applies to its own input before masking.
+    parity = eye if protocol_id == "zero-error-otp" else list(code.matrix.rows)
+    key = _shift(K, [1 << i for i in range(klen)])
+    mask = key if klen else (0,) * mlen
+    m13 = _xor(mask, _shift(X, parity))
+    return {
+        "x": _shift(X, eye),
+        "y": _xor(_shift(X, eye), _shift(Z, eye)),
+        "z": _shift(Z, eye),
+        "k": key,
+        "m12": key,
+        "m13": m13,
+        "m23": _xor(m13, _shift(Z, parity)),  # mask xor parity(y), y = x xor z
+        "zhat": _shift(ZH, eye),
+    }
+
+
+def _shift(offset: int, words: list[int]) -> tuple[int, ...]:
+    return tuple(w << offset for w in words)
+
+
+def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(u ^ v for u, v in zip(a, b, strict=True))
+
+
+def _replay_affine(joint: AffineJoint, code: LinearCode | None) -> None:
+    n, klen = joint.n, joint.widths["k"]
+    size = 1 << (2 * n + klen)
+    # An odd stride near size/phi, so the sampled x, y and k all vary.
+    stride = (size * _GOLDEN_64 >> 64) | 1
+    for i in range(min(_AFFINE_REPLAYS, size)):
+        idx = i * stride % size
+        k, y, x = idx & ((1 << klen) - 1), (idx >> klen) & ((1 << n) - 1), idx >> (klen + n)
+        word = (x ^ y) | int(joint.zhat[x ^ y]) << n | x << 2 * n | k << 3 * n
+        got = {
+            name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))
+            for name, rows in joint.rows.items()
+        }
+        if got != _replay(joint.protocol, code, n, x, y, k, klen):
+            raise RuntimeError(
+                f"affine description disagrees with protocol replay at x={x:#x}, y={y:#x}, k={k:#x}"
+            )
 
 
 @dataclass(frozen=True)
@@ -264,7 +444,7 @@ class LeakageReport:
     eps4: float
 
 
-def leakage_report(pmf: JointPmf) -> LeakageReport:
+def leakage_report(pmf: JointPmf | AffineJoint) -> LeakageReport:
     n = pmf.n
     return LeakageReport(
         eps1=conditional_mutual_information(pmf, ("m13", "m12"), "y", "x") / n,
@@ -288,7 +468,7 @@ class RateReport:
         return (self.r13, self.r23, self.r12, self.rho)
 
 
-def rate_report(pmf: JointPmf) -> RateReport:
+def rate_report(pmf: JointPmf | AffineJoint) -> RateReport:
     n = pmf.n
     return RateReport(
         r13=pmf.widths["m13"] / n,
@@ -349,7 +529,7 @@ class Lemma1Report:
         )
 
 
-def check_lemma1(pmf: JointPmf, *, tol: float = 1e-10) -> Lemma1Report:
+def check_lemma1(pmf: JointPmf | AffineJoint, *, tol: float = 1e-10) -> Lemma1Report:
     """Five exact conditions: x and y recoverable from their owners' links,
     and every single link statistically independent of the input pair."""
     return Lemma1Report(

@@ -14,9 +14,10 @@ from statistics import fmean
 
 from .analysis import (
     ReportRow,
+    affine_joint,
     check_rate_region,
     csv_header,
-    enumerate_joint,
+    enumerate_joint,  # noqa: F401 - perfbench/tracing.py wraps the name in this module
     leakage_report,
     monte_carlo_error,
     rate_report,
@@ -71,7 +72,7 @@ class ExperimentConfig:
         mode = raw.get("mode") or "both"
         if mode not in _SWEEP_MODES:
             raise UsageError(f"unknown mode {mode!r}")
-        trials = int(raw.get("trials") or _DEFAULT_TRIALS)
+        trials = _opt(raw, "trials", int, _DEFAULT_TRIALS)
         if trials < 1:
             raise UsageError(f"--trials must be positive, got {trials}")
         return cls(
@@ -96,6 +97,11 @@ def _req(raw: dict, key: str, cast):
         raise UsageError(f"bad value for --{key}: {value!r} ({e})")
 
 
+def _opt(raw: dict, key: str, cast, default):
+    """An optional value; only an absent or null one takes the default."""
+    return default if raw.get(key) is None else _req(raw, key, cast)
+
+
 def _resolve_m(protocol: str, n: int, m_raw, rate_raw) -> int:
     if protocol == "zero-error-otp":
         if m_raw is not None or rate_raw is not None:
@@ -115,8 +121,13 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     """Explicit flags win; a JSON --config supplies anything left unset."""
     raw = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except OSError as e:
+            raise UsageError(f"cannot read config file {args.config!r}: {e.strerror or e}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise UsageError(f"config file {args.config!r} is not valid JSON: {e}")
         if not isinstance(doc, dict):
             raise UsageError(f"config file must hold a JSON object, got {type(doc).__name__}")
         for key, value in doc.items():
@@ -158,9 +169,9 @@ def _instance_row(protocol: str, n: int, m: int, p: float, master_seed: int,
         code = build_code(n, m, seed=rng.getrandbits(63))
     row = ReportRow(protocol=protocol, n=n, m=m, p=p, seed=seed)
     if mode == "leakage":
-        pmf = enumerate_joint(protocol, code, DsbsParams(p, n))
-        leak = leakage_report(pmf)
-        rates = rate_report(pmf)
+        joint = affine_joint(protocol, code, DsbsParams(p, n))
+        leak = leakage_report(joint)
+        rates = rate_report(joint)
         row.eps1, row.eps2, row.eps3, row.eps4 = leak.eps1, leak.eps2, leak.eps3, leak.eps4
         row.r13, row.r23, row.r12, row.rho = rates.quadruple()
         row.p_err_exact = exact_error_probability(code, p) if code else 0.0
@@ -253,8 +264,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     mode = raw.get("mode") or "exact"
     if mode not in _SWEEP_MODES:
         raise UsageError(f"unknown mode {mode!r}")
-    trials = int(raw.get("trials") or _DEFAULT_TRIALS)
-    instances = int(raw.get("seeds") or 1)
+    trials = _opt(raw, "trials", int, _DEFAULT_TRIALS)
+    if trials < 1:
+        raise UsageError(f"--trials must be positive, got {trials}")
+    instances = _opt(raw, "seeds", int, 1)
     if instances < 1:
         raise UsageError(f"--seeds must be positive, got {instances}")
     m_raw, rate_raw = raw.get("m"), raw.get("rate")

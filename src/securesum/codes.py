@@ -19,22 +19,17 @@ __all__ = [
     "decode_syndrome",
     "exact_error_probability",
     "m_for_rate",
-    "rate_for",
     "to_json_dict",
     "from_json_dict",
-    "DEFAULT_RATE_MARGIN",
     "TABLE_GUARD_BITS",
     "ENUMERATION_GUARD_BITS",
 ]
 
-# Rate margin used when a caller asks for a margin-based rate instead of
-# passing an explicit one.
-DEFAULT_RATE_MARGIN = 0.1
-
 # Leader tables hold 2**m entries; refuse anything beyond this.
 TABLE_GUARD_BITS = 24
 
-# Exhaustive error enumeration walks 2**n noise patterns; refuse beyond this.
+# Exhaustive error enumeration and exact leakage walk 2**n noise patterns;
+# refuse beyond this.
 ENUMERATION_GUARD_BITS = 24
 
 # Full-table construction enumerates all 2**n words vectorised; above this,
@@ -214,13 +209,6 @@ def m_for_rate(n: int, rate: float) -> int:
     if rate < 0.0 or rate > 1.0:
         raise ContractViolation(f"rate must lie in [0, 1], got {rate}")
     return min(n, math.ceil(n * rate))
-
-
-def rate_for(p: float, margin: float = DEFAULT_RATE_MARGIN) -> float:
-    """A rate sitting `margin` bits above the entropy of the sum."""
-    from .source import binary_entropy
-
-    return binary_entropy(p) + margin
 
 
 def to_json_dict(code: LinearCode) -> dict[str, Any]:

@@ -14,6 +14,7 @@ import pytest
 
 from securesum.analysis import (
     JointPmf,
+    affine_joint,
     check_lemma1,
     check_rate_region,
     conditional_entropy,
@@ -42,7 +43,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def secure_grid():
-    """Exact reports for every masked-scheme grid instance; shared by 1 and 3."""
+    """Exact reports for every masked-scheme grid instance; shared by 1 and 3.
+
+    Each row holds the enumerated oracle's reports and the affine engine's.
+    """
     rows = []
     for (n, m), p in product(GRID, GRID_PS):
         params = DsbsParams(p=p, n=n)
@@ -50,20 +54,26 @@ def secure_grid():
             seed = derive_run_seed(MASTER_SEED, "secure-km", n, m, p, idx)
             code = build_code(n, m, seed=seed)
             pmf = enumerate_joint("secure-km", code, params, replay_samples=16)
-            rows.append((n, m, p, leakage_report(pmf), rate_report(pmf)))
+            joint = affine_joint("secure-km", code, params)
+            rows.append((n, m, p, leakage_report(pmf), rate_report(pmf),
+                         leakage_report(joint), rate_report(joint)))
     return rows
 
 
 def test_criterion_1_masked_scheme_is_perfectly_private(secure_grid):
     worst = 0.0
-    for n, m, p, leak, _ in secure_grid:
+    for n, m, p, leak, rates, engine_leak, engine_rates in secure_grid:
         for eps in (leak.eps1, leak.eps2, leak.eps3):
             worst = max(worst, abs(eps))
             assert abs(eps) <= 1e-10, (n, m, p, leak)
+        for name in ("eps1", "eps2", "eps3", "eps4"):
+            assert abs(getattr(engine_leak, name) - getattr(leak, name)) <= 1e-10, (n, m, p, name)
+        assert abs(engine_rates.rho - rates.rho) <= 1e-10, (n, m, p)
     _report(
         1, True,
         f"eps1, eps2, eps3 all <= 1e-10 across {len(secure_grid)} exact "
-        f"enumerations (worst |eps| = {worst:.3g})",
+        f"enumerations (worst |eps| = {worst:.3g}); the affine engine agrees "
+        "on eps1..eps4 and rho to 1e-10",
     )
 
 
@@ -100,7 +110,7 @@ def test_criterion_2_uncoded_pad_scheme_is_exact(tmp_path):
 
 def test_criterion_3_masked_scheme_rate_accounting(secure_grid):
     checked = 0
-    for n, m, p, _, rates in secure_grid:
+    for n, m, p, _, rates, _, _ in secure_grid:
         assert rates.r13 == rates.r23 == rates.r12 == m / n
         assert abs(rates.rho - m / n) <= 1e-10
         if m / n >= binary_entropy(p):

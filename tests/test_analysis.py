@@ -6,10 +6,12 @@ from random import Random
 import numpy as np
 import pytest
 
+import securesum.analysis as analysis
 from securesum.analysis import (
     CSV_COLUMNS,
     JointPmf,
     ReportRow,
+    affine_joint,
     check_lemma1,
     check_rate_region,
     conditional_entropy,
@@ -267,6 +269,90 @@ def test_enumerate_joint_validation():
         enumerate_joint("plain-km", None, DsbsParams(p=0.1, n=3))
     with pytest.raises(ContractViolation):
         enumerate_joint("secure-km", FIXTURE, DsbsParams(p=0.1, n=4))
+
+
+def _small_instances():
+    """Every (protocol, n, m) whose enumeration has at most 2^16 atoms."""
+    for n in range(1, 9):
+        for m in range(n + 1):
+            for protocol, key_bits in (("secure-km", m), ("plain-km", 0)):
+                if 2 * n + key_bits <= 16:
+                    yield protocol, n, m
+        if 3 * n <= 16:
+            yield "zero-error-otp", n, n
+
+
+def test_affine_engine_matches_enumeration_oracle():
+    instances = 0
+    for protocol, n, m in _small_instances():
+        code = None if protocol == "zero-error-otp" else build_code(n, m, seed=97 * n + m)
+        for p in (0.0, 0.05, 0.25, 0.5):
+            pmf = enumerate_joint(protocol, code, DsbsParams(p=p, n=n))
+            joint = affine_joint(protocol, code, DsbsParams(p=p, n=n))
+            assert (joint.protocol, joint.n, joint.m, joint.p) == (pmf.protocol, pmf.n, pmf.m, pmf.p)
+            assert joint.widths == pmf.widths
+            # The cache afterwards holds exactly the sets the three reports ask for.
+            leakage_report(pmf), rate_report(pmf), check_lemma1(pmf)
+            sets = set(pmf._cache) | {tuple(sorted(pmf.widths))}
+            for key in sets:
+                assert joint.entropy(key) == pytest.approx(pmf.entropy(key), abs=1e-10), \
+                    (protocol, n, m, p, key)
+            instances += 1
+    assert instances == 4 * (29 + 44 + 5)  # secure-km, plain-km, zero-error-otp
+
+
+def test_affine_engine_joint_entropy_of_everything():
+    # Every variable is a function of (x, k, z), which are independent and all
+    # in the set, so H(all) = n + klen + n h2(p); a packed key would need
+    # 8n + 2 klen bits.
+    for protocol, n, m, p in (("zero-error-otp", 16, 16, 0.1), ("secure-km", 12, 8, 0.25)):
+        code = None if protocol == "zero-error-otp" else build_code(n, m, seed=5)
+        joint = affine_joint(protocol, code, DsbsParams(p=p, n=n))
+        klen = joint.widths["k"]
+        assert sum(joint.widths.values()) > 63
+        expect = n + klen + n * binary_entropy(p)
+        assert joint.entropy(tuple(joint.widths)) == pytest.approx(expect, abs=1e-10)
+
+
+def test_affine_engine_replay_catches_a_corrupted_description(monkeypatch):
+    # At (8, 6) a power-of-two stride through the 2^22 atoms would replay only
+    # y = 0, k = 0, and miss the second corruption.
+    n = 8
+    code = build_code(n, 6, seed=2)
+    params = DsbsParams(p=0.2, n=n)
+    affine_joint("secure-km", code, params)
+    honest = analysis._affine_rows
+    corruptions = (
+        # bit 0 of m23 also reads bit 1 of x (rows hold x at bits 2n..3n)
+        lambda m23: (m23[0] ^ 1 << (2 * n + 1),) + m23[1:],
+        # m23 drops its noise part, as if Bob sent the syndrome of x: wrong only when y != x
+        lambda m23: tuple(row & ~((1 << n) - 1) for row in m23),
+    )
+    for corrupt in corruptions:
+        def corrupted(*args, corrupt=corrupt):
+            rows = honest(*args)
+            rows["m23"] = corrupt(rows["m23"])
+            return rows
+
+        monkeypatch.setattr(analysis, "_affine_rows", corrupted)
+        with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
+            affine_joint("secure-km", code, params)
+
+
+def test_affine_engine_guard_and_validation():
+    with pytest.raises(CapacityError, match="2\\^25"):
+        affine_joint("zero-error-otp", None, DsbsParams(p=0.1, n=25))
+    with pytest.raises(ConfigurationError):
+        affine_joint("bogus", FIXTURE, DsbsParams(p=0.1, n=3))
+    with pytest.raises(ConfigurationError):
+        affine_joint("plain-km", None, DsbsParams(p=0.1, n=3))
+    with pytest.raises(ContractViolation):
+        affine_joint("secure-km", FIXTURE, DsbsParams(p=0.1, n=4))
+    joint = affine_joint("secure-km", FIXTURE, DsbsParams(p=0.25, n=3))
+    assert joint.entropy("transcript") == joint.entropy(("m12", "m13", "m23"))
+    assert ("m12", "m13", "m23") in joint._cache
+    with pytest.raises(ConfigurationError):
+        joint.entropy("nonsense")
 
 
 def test_report_row_csv_line():

@@ -211,10 +211,42 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_capacity_guard_exits_3(capsys):
-    assert main(["leakage", "--protocol", "secure-km", "--n", "13", "--m", "3", "--p", "0.1"]) == 3
+    # Exact leakage sums over the 2^n noise words; the guard is n <= 24.
+    assert main(["leakage", "--protocol", "secure-km", "--n", "25", "--m", "3", "--p", "0.1"]) == 3
     assert "capacity error" in capsys.readouterr().err
     assert main(["simulate", "--protocol", "secure-km", "--n", "30", "--m", "26", "--p", "0.1"]) == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_leakage_beyond_the_atom_count_of_the_oracle(tmp_path):
+    # 2n+k = 29 bits of (x, y, k) atoms, but only 2^13 noise words.
+    rc, text = run_cli(
+        ["leakage", "--protocol", "secure-km", "--n", "13", "--m", "3", "--p", "0.1"],
+        tmp_path,
+    )
+    assert rc == 0
+    (row,) = parse_rows(text)
+    for col in ("eps1", "eps2", "eps3"):
+        assert abs(float(row[col])) <= 1e-10
+    assert float(row["rho"]) == pytest.approx(3 / 13, abs=1e-10)
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", None),  # no file at the path
+    ("simulate", "{not json"),
+    ("simulate", {"trials": 0}),
+    ("sweep", {"seeds": 0}),
+], ids=["missing-file", "not-json", "trials-0", "seeds-0"])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "exp.json"
+    if doc is not None:
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = [command, "--config", str(cfg), "--protocol", "secure-km", "--n", "4",
+            "--m", "2", "--p", "0.25", "--mode", "exact"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
 
 
 def test_config_file_supplies_unset_options(tmp_path):
