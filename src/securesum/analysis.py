@@ -20,7 +20,7 @@ import numpy as np
 
 from .codes import ENUMERATION_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
-from .gf2 import Gf2Vector
+from .gf2 import Gf2Vector, echelon, span_table
 from .protocol import (
     PROTOCOL_IDS,
     PartyId,
@@ -138,17 +138,13 @@ def _expand(protocol: str, widths: dict[str, int], variables) -> tuple[str, ...]
 
 def _grouped_entropy(keys: np.ndarray, bits: int, probs: np.ndarray) -> float:
     """Entropy (bits) of the `bits`-bit label `keys`, where entry i has mass probs[i]."""
-    # A table of 2^bits bins when it is small or no larger than `keys`; sorting
-    # gives the same sums in the same order, so either way the result is equal.
-    if bits <= _BINCOUNT_MAX_BITS or 1 << bits <= len(keys):
+    if bits <= _BINCOUNT_MAX_BITS:
         grouped = np.bincount(keys, weights=probs, minlength=1 << bits)
     else:
         _, inverse = np.unique(keys, return_inverse=True)
         grouped = np.bincount(inverse, weights=probs)
-    grouped = grouped[grouped > 0.0]
-    terms = np.log2(grouped)
-    terms *= grouped
-    return float(-np.sum(terms))
+    nz = grouped[grouped > 0.0]
+    return float(-np.sum(nz * np.log2(nz)))
 
 
 @dataclass(eq=False)
@@ -183,7 +179,7 @@ class AffineJoint:
         key = _expand(self.protocol, self.widths, variables)
         if key in self._cache:
             return self._cache[key]
-        basis = _echelon(row for name in key for row in self.rows[name])
+        basis = echelon(row for name in key for row in self.rows[name])
         noise = [row for row in basis if row >> (2 * self.n) == 0]
         h = len(basis) - len(noise) + self._noise_entropy(noise)
         self._cache[key] = h
@@ -193,39 +189,11 @@ class AffineJoint:
         """H(B·(z, zhat)) for the rows B, summed over every noise word z."""
         if not noise:
             return 0.0
-        n = self.n
-        # Echelon rows that lead below bit n read z alone; n of them fix z, and
-        # with it zhat and every other row.
-        pure = [row for row in noise if row >> n == 0]
-        if len(pure) == n:
-            noise = pure
-        # Column j of B as a packed word over B's rows, for z's bits then zhat's.
-        cols = [sum(((row >> j) & 1) << i for i, row in enumerate(noise)) for j in range(2 * n)]
-        keys = _span_table(cols[:n])
-        if any(cols[n:]):
-            keys ^= _span_table(cols[n:])[self.zhat]
+        nmask = (1 << self.n) - 1
+        keys = span_table((row & nmask for row in noise), self.n)
+        if any(row >> self.n for row in noise):
+            keys ^= span_table((row >> self.n for row in noise), self.n)[self.zhat]
         return _grouped_entropy(keys, len(noise), self.probs)
-
-
-def _echelon(rows) -> list[int]:
-    """A basis of the span of packed GF(2) rows, with distinct leading bits."""
-    basis: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = row
-                break
-            row ^= basis[lead]
-    return list(basis.values())
-
-
-def _span_table(cols: list[int]) -> np.ndarray:
-    """The linear map with these columns, evaluated at every input word."""
-    table = np.zeros(1 << len(cols), dtype=np.int64)
-    for j, col in enumerate(cols):
-        np.bitwise_xor(table[: 1 << j], col, out=table[1 << j : 2 << j])
-    return table
 
 
 def entropy(pmf: JointPmf | AffineJoint, variables) -> float:

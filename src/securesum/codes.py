@@ -9,7 +9,7 @@ from typing import Any
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector, random_matrix
+from .gf2 import Gf2Matrix, Gf2Vector, random_matrix, span_table
 
 __all__ = [
     "LinearCode",
@@ -46,11 +46,7 @@ def _bit_reverse(words: np.ndarray, n: int) -> np.ndarray:
 
 def _syndrome_table(matrix: Gf2Matrix) -> np.ndarray:
     """Packed syndrome of every n-bit word, indexed by the word itself."""
-    words = np.arange(1 << matrix.cols, dtype=np.int64)
-    synd = np.zeros(words.shape, dtype=np.int64)
-    for i, row in enumerate(matrix.rows):
-        synd |= (np.bitwise_count(words & row) & 1).astype(np.int64) << i
-    return synd
+    return span_table(matrix.rows, matrix.cols)
 
 
 def _weight_masks(n: int, w: int):

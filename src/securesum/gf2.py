@@ -5,6 +5,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ContractViolation
 
 __all__ = [
@@ -135,19 +137,7 @@ class Gf2Matrix:
         return Gf2Vector(word, self.m)
 
     def rank(self) -> int:
-        """Rank by Gaussian elimination, pivoting on the leftmost live column."""
-        rows = list(self.rows)
-        r = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(r, len(rows)) if (rows[i] >> col) & 1), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            for i in range(len(rows)):
-                if i != r and (rows[i] >> col) & 1:
-                    rows[i] ^= rows[r]
-            r += 1
-        return r
+        return len(echelon(self.rows))
 
     def __repr__(self) -> str:
         return f"Gf2Matrix('{self.to_string()}')"
@@ -163,6 +153,32 @@ def xor(a: Gf2Vector, b: Gf2Vector) -> Gf2Vector:
 
 def rank(mat: Gf2Matrix) -> int:
     return mat.rank()
+
+
+def echelon(rows: Iterable[int]) -> list[int]:
+    """A basis of the span of packed rows, with distinct leading bits."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return list(basis.values())
+
+
+def span_table(rows: Iterable[int], cols: int) -> np.ndarray:
+    """The map with these packed rows, evaluated at every `cols`-bit word.
+
+    Entry w is the packed image of w: bit i is the parity of row i and w.
+    """
+    rows = list(rows)
+    table = np.zeros(1 << cols, dtype=np.int64)
+    for j in range(cols):
+        col = sum(((row >> j) & 1) << i for i, row in enumerate(rows))
+        np.bitwise_xor(table[: 1 << j], col, out=table[1 << j : 2 << j])
+    return table
 
 
 def random_matrix(m: int, n: int, rng: Random) -> Gf2Matrix:

@@ -2,12 +2,23 @@ from __future__ import annotations
 
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from securesum.errors import ContractViolation
-from securesum.gf2 import Gf2Matrix, Gf2Vector, matvec, random_matrix, random_vector, rank, xor
+from securesum.gf2 import (
+    Gf2Matrix,
+    Gf2Vector,
+    echelon,
+    matvec,
+    random_matrix,
+    random_vector,
+    rank,
+    span_table,
+    xor,
+)
 
 
 def vectors(max_n=16):
@@ -90,6 +101,31 @@ def test_rank_invariant_under_row_operations():
             else:
                 rows[i] ^= rows[j]
             assert rank(Gf2Matrix(tuple(rows), n)) == base
+
+
+def test_echelon_spans_the_rows_with_distinct_leading_bits():
+    rng = Random(23)
+    for _ in range(200):
+        m, n = rng.randint(0, 7), rng.randint(1, 7)
+        rows = tuple(rng.getrandbits(n) for _ in range(m))
+        basis = echelon(rows)
+        leads = [row.bit_length() - 1 for row in basis]
+        assert 0 not in basis and len(set(leads)) == len(leads)
+        assert _rank_oracle(Gf2Matrix(tuple(basis), n)) == len(basis) == rank(Gf2Matrix(rows, n))
+        span = {0}
+        for row in basis:
+            span |= {row ^ s for s in span}
+        assert all(row in span for row in rows)
+
+
+def test_span_table_is_matvec_at_every_word():
+    rng = Random(29)
+    for _ in range(50):
+        n = rng.randint(0, 7)
+        mat = Gf2Matrix(tuple(rng.getrandbits(n) if n else 0 for _ in range(rng.randint(0, 6))), n)
+        table = span_table(mat.rows, n)
+        assert table.dtype == np.int64 and len(table) == 1 << n
+        assert [int(v) for v in table] == [mat.matvec(Gf2Vector(w, n)).bits for w in range(1 << n)]
 
 
 @given(matrices(), st.data())
