@@ -22,12 +22,10 @@ from .codes import (
     LinearCode,
     build_code,
     code_from_matrix,
-    decode_syndrome,
     exact_error_probability,
-    syndrome,
 )
 from .errors import CapacityError, ConfigurationError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector, matvec, random_matrix, random_vector, rank, xor
+from .gf2 import Gf2Matrix, Gf2Vector, random_matrix, random_vector
 from .protocol import (
     Message,
     PartyId,
@@ -44,9 +42,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Gf2Vector", "Gf2Matrix", "matvec", "xor", "rank", "random_matrix", "random_vector",
+    "Gf2Vector", "Gf2Matrix", "random_matrix", "random_vector",
     "DsbsParams", "sample_pair", "pair_probability", "binary_entropy",
-    "LinearCode", "build_code", "code_from_matrix", "syndrome", "decode_syndrome",
+    "LinearCode", "build_code", "code_from_matrix",
     "exact_error_probability",
     "PartyId", "Message", "Transcript", "RunOutcome",
     "run_secure_km", "run_plain_km", "run_zero_error_otp", "run_with_sampling",

@@ -225,7 +225,7 @@ def enumerate_joint(
 ) -> JointPmf:
     """Exhaustive pmf over every (x, y, k); one atom per combination.
 
-    A strided subset of atoms is replayed through the message-passing engine
+    A spread sample of atoms is replayed through the message-passing engine
     on every call, so the vectorised algebra cannot drift from the protocols
     it claims to summarise.
     """
@@ -274,8 +274,7 @@ def enumerate_joint(
         probs[lo:hi] = ptable[np.bitwise_count(z)]
     pmf = JointPmf(protocol=protocol_id, n=n, m=m, p=params.p,
                    widths=widths, columns=columns, probs=probs)
-    if replay_samples > 0:
-        _replay_check(pmf, code, min(replay_samples, size))
+    _replay_check(pmf, code, replay_samples)
     return pmf
 
 
@@ -314,12 +313,23 @@ def _replay(protocol_id: str, code: LinearCode | None, n: int,
     }
 
 
+def _spread_atoms(n: int, klen: int, samples: int):
+    """(index, x, y, k) of up to `samples` atoms, index = (x << n | y) << klen | k.
+
+    The stride is odd and near size/phi, so the sampled x, y and k all vary.
+    """
+    size = 1 << (2 * n + klen)
+    stride = (size * _GOLDEN_64 >> 64) | 1
+    for i in range(min(samples, size)):
+        idx = i * stride % size
+        yield idx, idx >> (klen + n), (idx >> klen) & ((1 << n) - 1), idx & ((1 << klen) - 1)
+
+
 def _replay_check(pmf: JointPmf, code: LinearCode | None, samples: int) -> None:
-    stride = max(pmf.size // samples, 1)
-    for i in range(0, pmf.size, stride):
+    klen = pmf.widths["k"]
+    for i, x, y, k in _spread_atoms(pmf.n, klen, samples):
         atom = {name: int(col[i]) for name, col in pmf.columns.items()}
-        want = _replay(pmf.protocol, code, pmf.n, atom["x"], atom["y"], atom["k"], pmf.widths["k"])
-        if atom != want:
+        if atom != _replay(pmf.protocol, code, pmf.n, x, y, k, klen):
             raise RuntimeError(f"enumerated atom {i} disagrees with protocol replay")
 
 
@@ -383,12 +393,7 @@ def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _replay_affine(joint: AffineJoint, code: LinearCode | None) -> None:
     n, klen = joint.n, joint.widths["k"]
-    size = 1 << (2 * n + klen)
-    # An odd stride near size/phi, so the sampled x, y and k all vary.
-    stride = (size * _GOLDEN_64 >> 64) | 1
-    for i in range(min(_AFFINE_REPLAYS, size)):
-        idx = i * stride % size
-        k, y, x = idx & ((1 << klen) - 1), (idx >> klen) & ((1 << n) - 1), idx >> (klen + n)
+    for _, x, y, k in _spread_atoms(n, klen, _AFFINE_REPLAYS):
         word = (x ^ y) | int(joint.zhat[x ^ y]) << n | x << 2 * n | k << 3 * n
         got = {
             name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))

@@ -4,9 +4,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
@@ -68,8 +67,8 @@ class ExperimentConfig:
         p = _req(raw, "p", float)
         if not 0.0 <= p <= 0.5:
             raise UsageError(f"--p must lie in [0, 1/2], got {p}")
-        m = _resolve_m(protocol, n, raw.get("m"), raw.get("rate"))
-        mode = raw.get("mode") or "both"
+        m = _resolve_m(protocol, n, raw)
+        mode = _opt(raw, "mode", str, "both")
         if mode not in _SWEEP_MODES:
             raise UsageError(f"unknown mode {mode!r}")
         trials = _opt(raw, "trials", int, _DEFAULT_TRIALS)
@@ -80,41 +79,79 @@ class ExperimentConfig:
             n=n,
             m=m,
             p=p,
-            seed=int(raw.get("seed") or 0),
+            seed=_opt(raw, "seed", int, 0),
             trials=trials,
             mode=mode,
-            out=raw.get("out"),
+            out=_opt(raw, "out", str, None),
         )
 
 
-def _req(raw: dict, key: str, cast):
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _cast(key: str, value, kind):
+    """One value of option --key as `kind` (str, int, float or bool).
+
+    Flags arrive as strings, `--config` values as JSON values. A JSON boolean
+    is not a number, an integer option takes only integral values, a float
+    must be finite, and a bool option takes only a JSON boolean.
+    """
+    if kind in (str, bool):
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            if kind is float:
+                number = float(value)
+                if math.isfinite(number):
+                    return number
+            elif not isinstance(value, float) or value.is_integer():
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise UsageError(f"bad value for --{key}: {value!r} (need {_KIND_NAMES[kind]})")
+
+
+def _req(raw: dict, key: str, kind):
     value = raw.get(key)
     if value is None:
         raise UsageError(f"missing required option --{key}")
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"bad value for --{key}: {value!r} ({e})")
+    return _cast(key, value, kind)
 
 
-def _opt(raw: dict, key: str, cast, default):
+def _opt(raw: dict, key: str, kind, default):
     """An optional value; only an absent or null one takes the default."""
-    return default if raw.get(key) is None else _req(raw, key, cast)
+    return default if raw.get(key) is None else _req(raw, key, kind)
 
 
-def _resolve_m(protocol: str, n: int, m_raw, rate_raw) -> int:
+def _list(raw: dict, key: str, kind) -> list:
+    """A required non-empty list: a comma-separated string or a JSON list."""
+    value = raw.get(key)
+    if value is None:
+        raise UsageError(f"missing required option --{key}")
+    if isinstance(value, str):
+        value = [part.strip() for part in value.split(",") if part.strip()]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    if not value:
+        raise UsageError(f"--{key} list is empty")
+    return [_cast(key, v, kind) for v in value]
+
+
+def _resolve_m(protocol: str, n: int, raw: dict) -> int:
+    has_m, has_rate = raw.get("m") is not None, raw.get("rate") is not None
     if protocol == "zero-error-otp":
-        if m_raw is not None or rate_raw is not None:
+        if has_m or has_rate:
             raise UsageError("zero-error-otp takes neither --m nor --rate")
         return n
-    if (m_raw is None) == (rate_raw is None):
+    if has_m == has_rate:
         raise UsageError(f"{protocol} needs exactly one of --m or --rate")
-    if m_raw is not None:
-        m = int(m_raw)
+    if has_m:
+        m = _req(raw, "m", int)
         if not 0 <= m <= n:
             raise UsageError(f"--m must lie in [0, n], got m={m}, n={n}")
         return m
-    return m_for_rate(n, float(rate_raw))
+    return m_for_rate(n, _req(raw, "rate", float))
 
 
 def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
@@ -139,20 +176,8 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     return raw
 
 
-def _ints(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(part) for part in str(value).split(",") if part != ""]
-
-
-def _floats(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(part) for part in str(value).split(",") if part != ""]
-
-
-def _quad(value) -> tuple[float, float, float, float]:
-    parts = _floats(value)
+def _quad(raw: dict) -> tuple[float, float, float, float]:
+    parts = _list(raw, "quad", float)
     if len(parts) != 4:
         raise UsageError(f"--quad needs four comma-separated rates, got {len(parts)}")
     if any(v < 0.0 for v in parts):
@@ -234,16 +259,14 @@ def _aggregate_rows(groups: list[list[ReportRow]], master_seed: int) -> list[Rep
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     raw = _merge_config(args, _SWEEP_KEYS)
-    out = raw.get("out")
-    master_seed = int(raw.get("seed") or 0)
-    ps = _floats(_req_any(raw, "p"))
-    if not ps:
-        raise UsageError("--p list is empty")
+    out = _opt(raw, "out", str, None)
+    master_seed = _opt(raw, "seed", int, 0)
+    ps = _list(raw, "p", float)
     for p in ps:
         if not 0.0 <= p <= 0.5:
             raise UsageError(f"--p entries must lie in [0, 1/2], got {p}")
     if raw.get("quad") is not None:
-        quad = _quad(raw["quad"])
+        quad = _quad(raw)
         rows = []
         for p in ps:
             row = ReportRow(protocol=None, n=None, m=None, p=p, seed=None)
@@ -253,15 +276,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit_rows(rows, out)
         return 0
 
-    protocols = [s.strip() for s in str(_req_any(raw, "protocol")).split(",")] \
-        if not isinstance(raw.get("protocol"), (list, tuple)) else list(raw["protocol"])
+    protocols = _list(raw, "protocol", str)
     for proto in protocols:
         if proto not in PROTOCOL_IDS:
             raise UsageError(f"unknown protocol {proto!r}")
-    ns = _ints(_req_any(raw, "n"))
-    if not ns:
-        raise UsageError("--n list is empty")
-    mode = raw.get("mode") or "exact"
+    ns = _list(raw, "n", int)
+    mode = _opt(raw, "mode", str, "exact")
     if mode not in _SWEEP_MODES:
         raise UsageError(f"unknown mode {mode!r}")
     trials = _opt(raw, "trials", int, _DEFAULT_TRIALS)
@@ -270,36 +290,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     instances = _opt(raw, "seeds", int, 1)
     if instances < 1:
         raise UsageError(f"--seeds must be positive, got {instances}")
-    m_raw, rate_raw = raw.get("m"), raw.get("rate")
+    aggregate = _opt(raw, "aggregate", bool, False)
+    has_m, has_rate = raw.get("m") is not None, raw.get("rate") is not None
 
     points: list[tuple[str, int, int, float]] = []
     for proto in protocols:
         for n in ns:
             if proto == "zero-error-otp":
                 m_values = [n]
-            elif (m_raw is None) == (rate_raw is None):
+            elif has_m == has_rate:
                 raise UsageError(f"{proto} needs exactly one of --m or --rate")
-            elif m_raw is not None:
-                m_values = _ints(m_raw)
+            elif has_m:
+                m_values = _list(raw, "m", int)
             else:
-                m_values = [m_for_rate(n, r) for r in _floats(rate_raw)]
-            if not m_values:
-                raise UsageError("--m/--rate list is empty")
+                m_values = [m_for_rate(n, r) for r in _list(raw, "rate", float)]
             for p in ps:
                 for m in m_values:
                     if not 0 <= m <= n:
                         raise UsageError(f"need 0 <= m <= n, got m={m}, n={n}")
                     points.append((proto, n, m, p))
 
-    def compute(point):
-        proto, n, m, p = point
-        return [_instance_row(proto, n, m, p, master_seed, idx, mode, trials)
-                for idx in range(instances)]
-
-    workers = min(4, os.cpu_count() or 1, max(len(points), 1))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        groups = list(ex.map(compute, points))
-    if raw.get("aggregate"):
+    groups = [[_instance_row(proto, n, m, p, master_seed, idx, mode, trials)
+               for idx in range(instances)]
+              for proto, n, m, p in points]
+    if aggregate:
         rows = _aggregate_rows(groups, master_seed)
     else:
         rows = list(chain.from_iterable(groups))
@@ -307,23 +321,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _req_any(raw: dict, key: str):
-    value = raw.get(key)
-    if value is None:
-        raise UsageError(f"missing required option --{key}")
-    return value
-
-
 def cmd_region(args: argparse.Namespace) -> int:
     raw = _merge_config(args, ("quad", "p", "out"))
-    quad = _quad(_req_any(raw, "quad"))
-    p = float(_req_any(raw, "p"))
+    quad = _quad(raw)
+    p = _req(raw, "p", float)
     if not 0.0 <= p <= 0.5:
         raise UsageError(f"--p must lie in [0, 1/2], got {p}")
     h2 = binary_entropy(p)
     ok = check_rate_region(quad, p)
     verdict = "in-region" if ok else "out-of-region"
-    _write(f"min_component={min(quad)!r} h2={h2!r} verdict={verdict}\n", raw.get("out"))
+    _write(f"min_component={min(quad)!r} h2={h2!r} verdict={verdict}\n", _opt(raw, "out", str, None))
     return 0
 
 

@@ -15,8 +15,6 @@ __all__ = [
     "LinearCode",
     "build_code",
     "code_from_matrix",
-    "syndrome",
-    "decode_syndrome",
     "exact_error_probability",
     "m_for_rate",
     "to_json_dict",
@@ -28,13 +26,8 @@ __all__ = [
 # Leader tables hold 2**m entries; refuse anything beyond this.
 TABLE_GUARD_BITS = 24
 
-# Exhaustive error enumeration and exact leakage walk 2**n noise patterns;
-# refuse beyond this.
+# Syndrome tables and exact leakage walk 2**n noise words; refuse beyond this.
 ENUMERATION_GUARD_BITS = 24
-
-# Full-table construction enumerates all 2**n words vectorised; above this,
-# fall back to weight-ordered search that stops once every coset is filled.
-_FULL_TABLE_BITS = 20
 
 
 def _bit_reverse(words: np.ndarray, n: int) -> np.ndarray:
@@ -44,69 +37,39 @@ def _bit_reverse(words: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _syndrome_table(matrix: Gf2Matrix) -> np.ndarray:
-    """Packed syndrome of every n-bit word, indexed by the word itself."""
-    return span_table(matrix.rows, matrix.cols)
-
-
-def _weight_masks(n: int, w: int):
-    # Gosper's hack: all n-bit words of weight w in ascending numeric order.
-    if w == 0:
-        yield 0
-        return
-    u = (1 << w) - 1
-    limit = 1 << n
-    while u < limit:
-        yield u
-        c = u & -u
-        r = u + c
-        u = (((r ^ u) >> 2) // c) | r
-
-
-def _leader_order_key(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Leaders are chosen by minimum weight, then by the smallest bit pattern
-    # when the pattern is read with symbol 0 as the most significant position.
-    return _bit_reverse(words, n), np.bitwise_count(words).astype(np.int64)
-
-
-def _leader_table_full(matrix: Gf2Matrix) -> np.ndarray:
-    n, m = matrix.cols, matrix.m
-    synd = _syndrome_table(matrix)
-    words = np.arange(1 << n, dtype=np.int64)
-    rev, wt = _leader_order_key(words, n)
-    order = np.lexsort((rev, wt))
-    uniq, first = np.unique(synd[order], return_index=True)
-    if len(uniq) != 1 << m:
-        raise ContractViolation("matrix is not full rank: some syndromes unreachable")
-    leaders = np.zeros(1 << m, dtype=np.int64)
-    leaders[uniq] = words[order][first]
-    return leaders
-
-
-def _leader_table_search(matrix: Gf2Matrix) -> np.ndarray:
-    n, m = matrix.cols, matrix.m
-    leaders = np.full(1 << m, -1, dtype=np.int64)
-    remaining = 1 << m
-    for w in range(n + 1):
-        for u in _weight_masks(n, w):
-            word = 0
-            for i in range(n):  # reverse so ascending u scans ascending patterns
-                word |= ((u >> i) & 1) << (n - 1 - i)
-            s = 0
-            for i, row in enumerate(matrix.rows):
-                s |= ((row & word).bit_count() & 1) << i
-            if leaders[s] < 0:
-                leaders[s] = word
-                remaining -= 1
-                if remaining == 0:
-                    return leaders
-    raise ContractViolation("matrix is not full rank: some syndromes unreachable")
-
-
 def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
-    if matrix.cols <= _FULL_TABLE_BITS:
-        return _leader_table_full(matrix)
-    return _leader_table_search(matrix)
+    """Coset leaders by a breadth-first search over syndromes, one weight per layer.
+
+    The search runs on bit-reversed words, where symbol 0 is the most
+    significant bit and the tie-break is plain integer order. If w is the
+    leader of s and bit j is its lowest set bit, then w ^ (1 << j) is the
+    leader of s ^ h_j, where h_j is the column of that bit. So layer w extends
+    each leader of weight w - 1 by one bit below its lowest set bit, and each
+    syndrome still unfilled keeps its least candidate.
+    """
+    n, m = matrix.cols, matrix.m
+    if n > 63:
+        raise CapacityError(f"leader words are packed in int64, so n <= 63; got n={n}")
+    cols = [sum(((row >> (n - 1 - j)) & 1) << i for i, row in enumerate(matrix.rows))
+            for j in range(n)]
+    empty = np.iinfo(np.int64).max  # above every leader, whose weight is <= m < 63
+    rev = np.full(1 << m, empty, dtype=np.int64)
+    rev[0] = 0
+    synd = np.zeros(1, dtype=np.int64)
+    while len(synd):
+        words = rev[synd]
+        still_open = rev == empty
+        for j in range(n):
+            ext = (words & ((2 << j) - 1)) == 0
+            if not ext.any():  # ext only shrinks as j grows
+                break
+            s = synd[ext] ^ cols[j]
+            keep = still_open[s]
+            np.minimum.at(rev, s[keep], words[ext][keep] | 1 << j)
+        synd = np.flatnonzero(still_open & (rev != empty))
+    if (rev == empty).any():
+        raise ContractViolation("matrix is not full rank: some syndromes unreachable")
+    return _bit_reverse(rev, n)
 
 
 @dataclass(eq=False)
@@ -143,7 +106,7 @@ class LinearCode:
                 raise CapacityError(
                     f"syndrome table needs 2^{self.n} entries, guard is 2^{ENUMERATION_GUARD_BITS}"
                 )
-            self._syndrome_table = _syndrome_table(self.matrix)
+            self._syndrome_table = span_table(self.matrix.rows, self.n)
         return self._syndrome_table
 
     def __repr__(self) -> str:
@@ -175,29 +138,19 @@ def build_code(n: int, m: int, seed: int) -> LinearCode:
             return LinearCode(n=n, m=m, matrix=matrix, seed=seed, leaders=_leader_table(matrix))
 
 
-def syndrome(code: LinearCode, word: Gf2Vector) -> Gf2Vector:
-    return code.syndrome(word)
-
-
-def decode_syndrome(code: LinearCode, synd: Gf2Vector) -> Gf2Vector:
-    return code.decode(synd)
-
-
-def exact_error_probability(code: LinearCode, p: float, *, guard_bits: int = ENUMERATION_GUARD_BITS) -> float:
+def exact_error_probability(code: LinearCode, p: float) -> float:
     """Exact probability that the decoded noise pattern differs from the truth.
 
-    Sums the Bernoulli(p) block probability of every noise pattern z whose
-    coset leader is not z itself.
+    A noise word decodes correctly exactly when it is the leader of its coset,
+    so P_err = sum_w (C(n, w) - L_w) p^w (1-p)^(n-w), where L_w counts the
+    leaders of weight w.
     """
     if not 0.0 <= p <= 0.5:
         raise ContractViolation(f"p must lie in [0, 1/2], got {p}")
-    if code.n > guard_bits:
-        raise CapacityError(f"exact enumeration needs 2^{code.n} patterns, guard is 2^{guard_bits}")
-    words = np.arange(1 << code.n, dtype=np.int64)
-    decoded = code.leaders[code.syndrome_table()]
-    wrong = words[decoded != words]
-    w = np.bitwise_count(wrong).astype(np.int64)
-    return float(np.sum(np.power(p, w) * np.power(1.0 - p, code.n - w)))
+    n = code.n
+    leaders_by_weight = np.bincount(np.bitwise_count(code.leaders), minlength=n + 1)
+    return float(sum((math.comb(n, w) - int(count)) * (p**w * (1.0 - p) ** (n - w))
+                     for w, count in enumerate(leaders_by_weight)))
 
 
 def m_for_rate(n: int, rate: float) -> int:

@@ -12,9 +12,6 @@ from .errors import ContractViolation
 __all__ = [
     "Gf2Vector",
     "Gf2Matrix",
-    "matvec",
-    "xor",
-    "rank",
     "random_matrix",
     "random_vector",
 ]
@@ -141,18 +138,6 @@ class Gf2Matrix:
 
     def __repr__(self) -> str:
         return f"Gf2Matrix('{self.to_string()}')"
-
-
-def matvec(mat: Gf2Matrix, vec: Gf2Vector) -> Gf2Vector:
-    return mat.matvec(vec)
-
-
-def xor(a: Gf2Vector, b: Gf2Vector) -> Gf2Vector:
-    return a ^ b
-
-
-def rank(mat: Gf2Matrix) -> int:
-    return mat.rank()
 
 
 def echelon(rows: Iterable[int]) -> list[int]:

@@ -28,7 +28,6 @@ __all__ = [
     "run_zero_error_otp",
     "run_with_sampling",
     "output_from_transcript",
-    "key_length",
     "nominal_rates",
     "format_transcript",
     "parse_transcript",
@@ -103,19 +102,6 @@ class RunOutcome:
     z_hat: Gf2Vector
     transcript: Transcript
     correct: bool
-
-
-def key_length(protocol_id: str, n: int, m: int | None) -> int:
-    """Private random bits the protocol consumes for one run."""
-    if protocol_id == "secure-km":
-        if m is None:
-            raise ConfigurationError("secure-km needs a code")
-        return m
-    if protocol_id == "zero-error-otp":
-        return n
-    if protocol_id == "plain-km":
-        return 0
-    raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
 
 
 def nominal_rates(protocol_id: str, n: int, m: int | None) -> tuple[float, float, float, float]:

@@ -262,6 +262,22 @@ def test_enumeration_guard():
     assert pmf.size == 1 << 22
 
 
+def test_enumeration_replay_check_varies_every_input(monkeypatch):
+    # The oracle's self-check must replay atoms spread over y and k as well as x.
+    seen = []
+    honest = analysis.run_secure_km
+
+    def recording(code, x, y, k):
+        seen.append((x.bits, y.bits, k.bits))
+        return honest(code, x, y, k)
+
+    monkeypatch.setattr(analysis, "run_secure_km", recording)
+    enumerate_joint("secure-km", build_code(8, 6, seed=2), DsbsParams(p=0.2, n=8))
+    assert len(seen) == 64
+    assert len({y for _, y, _ in seen}) > 1
+    assert len({k for _, _, k in seen}) > 1
+
+
 def test_enumerate_joint_validation():
     with pytest.raises(ConfigurationError):
         enumerate_joint("bogus", FIXTURE, DsbsParams(p=0.1, n=3))

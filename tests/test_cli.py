@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -249,6 +250,37 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+_SIM = ["simulate", "--protocol", "secure-km", "--n", "4", "--p", "0.25", "--mode", "exact"]
+_SWEEP = ["sweep", "--protocol", "secure-km", "--m", "2", "--mode", "exact"]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (_SIM + ["--m", "2", "--seed", "abc"], None),
+    (_SIM + ["--m", "abc"], None),
+    (_SIM + ["--rate", "abc"], None),
+    (_SIM + ["--rate", "nan"], None),
+    (_SWEEP + ["--n", "4,x", "--p", "0.1"], None),
+    (_SWEEP + ["--n", "4", "--p", "0.1,x"], None),
+    (["region", "--quad", "1,1,1,1", "--p", "abc"], None),
+    (["region", "--quad", "1,x,1,1", "--p", "0.25"], None),
+    (["simulate", "--protocol", "plain-km", "--m", "2", "--p", "0.25"], {"n": 6.7}),
+    (_SWEEP + ["--n", "4", "--p", "0.1"], {"aggregate": "false"}),
+    (_SIM + ["--m", "2"], {"seed": True}),
+    (["simulate", "--protocol", "secure-km", "--n", "4", "--m", "2", "--p", "0.25"], {"mode": 0}),
+], ids=["seed-abc", "m-abc", "rate-abc", "rate-nan", "n-list", "p-list", "region-p",
+        "region-quad", "config-n-6.7", "config-aggregate-string", "config-seed-true",
+        "config-mode-0"])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_config_file_supplies_unset_options(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({
@@ -361,3 +393,18 @@ def test_console_script_on_path():
     assert proc.returncode == 2
     assert "usage error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_tracer_finds_every_wrapped_name():
+    # perfbench/tracing.py wraps program names by their import path; a name a
+    # refactor removed would quietly zero its per-layer benchmark metric.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()

@@ -3,20 +3,17 @@ from __future__ import annotations
 import json
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from securesum.codes import (
-    ENUMERATION_GUARD_BITS,
-    LinearCode,
     build_code,
     code_from_matrix,
-    decode_syndrome,
     exact_error_probability,
     from_json_dict,
     m_for_rate,
-    syndrome,
     to_json_dict,
 )
 from securesum.errors import CapacityError, ContractViolation
@@ -56,6 +53,23 @@ def _leader_oracle(matrix: Gf2Matrix) -> dict[int, int]:
     return best
 
 
+def _sorted_leader_reference(matrix: Gf2Matrix) -> np.ndarray:
+    # Sort all 2^n words by (weight, pattern with symbol 0 most significant)
+    # and keep the first word of each syndrome.
+    n = matrix.cols
+    words = np.arange(1 << n, dtype=np.int64)
+    synd = np.zeros_like(words)
+    rev = np.zeros_like(words)
+    for i, row in enumerate(matrix.rows):
+        synd |= (np.bitwise_count(words & row).astype(np.int64) & 1) << i
+    for i in range(n):
+        rev |= ((words >> i) & 1) << (n - 1 - i)
+    order = np.lexsort((rev, np.bitwise_count(words)))
+    uniq, first = np.unique(synd[order], return_index=True)
+    assert len(uniq) == 1 << matrix.m
+    return words[order][first]
+
+
 def test_fixture_leader_table_matches_worked_example():
     code = code_from_matrix(FIXTURE)
     table = {s: Gf2Vector(int(code.leaders[s]), 3).to_string() for s in range(4)}
@@ -65,13 +79,13 @@ def test_fixture_leader_table_matches_worked_example():
 
 def test_fixture_syndrome():
     code = code_from_matrix(FIXTURE)
-    assert syndrome(code, Gf2Vector.from_string("010")) == Gf2Vector.from_bits([1, 1])
+    assert code.syndrome(Gf2Vector.from_string("010")) == Gf2Vector.from_bits([1, 1])
 
 
 def test_fixture_decode():
     code = code_from_matrix(FIXTURE)
-    assert decode_syndrome(code, Gf2Vector.from_bits([1, 1])) == Gf2Vector.from_string("010")
-    assert decode_syndrome(code, Gf2Vector.from_bits([1, 0])) == Gf2Vector.from_string("100")
+    assert code.decode(Gf2Vector.from_bits([1, 1])) == Gf2Vector.from_string("010")
+    assert code.decode(Gf2Vector.from_bits([1, 0])) == Gf2Vector.from_string("100")
 
 
 def test_fixture_exact_error_probability():
@@ -85,15 +99,14 @@ def test_fixture_exact_error_probability():
 
 def test_exact_error_probability_matches_enumeration_oracle():
     rng = Random(9)
-    for n, m in ((4, 2), (6, 3), (7, 5)):
+    for n, m in ((4, 2), (6, 3), (7, 5), (10, 4), (12, 7)):
         code = build_code(n, m, seed=rng.randrange(10**6))
+        wrong = [bin(z).count("1") for z in range(1 << n)
+                 if int(code.leaders[_syndrome_oracle(code.matrix, z)]) != z]
         for p in (0.0, 0.1, 0.25, 0.5):
             expect = 0.0
-            for z in range(1 << n):
-                decoded = int(code.leaders[_syndrome_oracle(code.matrix, z)])
-                if decoded != z:
-                    w = bin(z).count("1")
-                    expect += p**w * (1 - p) ** (n - w)
+            for w in wrong:
+                expect += p**w * (1 - p) ** (n - w)
             assert exact_error_probability(code, p) == pytest.approx(expect, abs=1e-13)
 
 
@@ -113,7 +126,7 @@ def test_tie_break_prefers_late_support():
     # both weight-1 words of the coset share the syndrome; '01' < '10' as a
     # pattern with symbol 0 most significant, so the leader sits on symbol 1
     code = code_from_matrix(Gf2Matrix.from_rows([[1, 1]]))
-    assert decode_syndrome(code, Gf2Vector.from_bits([1])) == Gf2Vector.from_string("01")
+    assert code.decode(Gf2Vector.from_bits([1])) == Gf2Vector.from_string("01")
 
 
 def test_leaders_are_minimum_weight_exhaustively():
@@ -129,15 +142,11 @@ def test_leaders_are_minimum_weight_exhaustively():
             assert _syndrome_oracle(code.matrix, int(code.leaders[s])) == s
 
 
-def test_search_and_full_table_construction_agree():
-    from securesum.codes import _leader_table_full, _leader_table_search
-
+def test_leaders_match_sorted_full_table_reference():
     rng = Random(77)
-    for n, m in ((6, 3), (8, 4), (10, 6), (11, 2)):
+    for n, m in ((6, 3), (8, 4), (10, 6), (11, 2), (21, 6), (22, 8)):
         code = build_code(n, m, seed=rng.randrange(10**6))
-        full = _leader_table_full(code.matrix)
-        search = _leader_table_search(code.matrix)
-        assert (full == search).all()
+        assert np.array_equal(code.leaders, _sorted_leader_reference(code.matrix)), (n, m)
 
 
 def test_build_code_deterministic_and_full_rank():
@@ -173,10 +182,17 @@ def test_rank_deficient_matrix_rejected():
 def test_capacity_guards():
     with pytest.raises(CapacityError, match="2\\^26"):
         build_code(30, 26, seed=0)
-    wide = build_code(26, 2, seed=0)  # forces the weight-ordered search path
+    wide = build_code(26, 2, seed=0)  # 2^26 words, but only four cosets
     assert wide.matrix.rank() == 2
-    with pytest.raises(CapacityError, match=f"2\\^{ENUMERATION_GUARD_BITS}"):
-        exact_error_probability(wide, 0.1)
+    # Exact error has no guard on n: one minus the mass of the four leaders.
+    p = 0.1
+    weights = [bin(int(leader)).count("1") for leader in wide.leaders]
+    correct = sum(p**w * (1 - p) ** (26 - w) for w in weights)
+    assert exact_error_probability(wide, p) == pytest.approx(1 - correct, abs=1e-15)
+    # Leader words are packed in int64: n = 63 is the widest code.
+    assert 0.0 < exact_error_probability(build_code(63, 2, seed=0), p) < 1.0
+    with pytest.raises(CapacityError, match="n <= 63"):
+        build_code(64, 2, seed=0)
 
 
 def test_json_round_trip_rebuilds_leaders():
@@ -195,7 +211,7 @@ def test_json_round_trip_rebuilds_leaders():
 def test_syndrome_linearity(a, b):
     code = code_from_matrix(FIXTURE)
     va, vb = Gf2Vector(a, 3), Gf2Vector(b, 3)
-    assert syndrome(code, va ^ vb) == syndrome(code, va) ^ syndrome(code, vb)
+    assert code.syndrome(va ^ vb) == code.syndrome(va) ^ code.syndrome(vb)
 
 
 def test_m_for_rate_rounds_up():
@@ -212,9 +228,9 @@ def test_m_for_rate_rounds_up():
 def test_dimension_validation():
     code = code_from_matrix(FIXTURE)
     with pytest.raises(ContractViolation):
-        syndrome(code, Gf2Vector.zeros(4))
+        code.syndrome(Gf2Vector.zeros(4))
     with pytest.raises(ContractViolation):
-        decode_syndrome(code, Gf2Vector.zeros(3))
+        code.decode(Gf2Vector.zeros(3))
     with pytest.raises(ContractViolation):
         build_code(3, 4, seed=0)
     with pytest.raises(ContractViolation):

@@ -14,7 +14,6 @@ from securesum.protocol import (
     PartyId,
     Transcript,
     format_transcript,
-    key_length,
     nominal_rates,
     output_from_transcript,
     parse_transcript,
@@ -158,17 +157,14 @@ def test_framing_is_input_independent():
             assert got == shapes[protocol]
 
 
-def test_nominal_rates_and_key_length():
+def test_nominal_rates():
     assert nominal_rates("secure-km", 3, 2) == (2 / 3, 2 / 3, 2 / 3, 2 / 3)
     assert nominal_rates("plain-km", 3, 2) == (2 / 3, 2 / 3, 0.0, 0.0)
     assert nominal_rates("zero-error-otp", 3, None) == (1.0, 1.0, 1.0, 1.0)
-    assert key_length("secure-km", 8, 5) == 5
-    assert key_length("plain-km", 8, 5) == 0
-    assert key_length("zero-error-otp", 8, None) == 8
     with pytest.raises(ConfigurationError):
         nominal_rates("secure-km", 3, None)
     with pytest.raises(ConfigurationError):
-        key_length("bogus", 3, 2)
+        nominal_rates("bogus", 3, 2)
 
 
 def test_run_with_sampling_validation():
