@@ -24,6 +24,8 @@ from .gf2 import Gf2Vector, echelon, span_table
 from .protocol import (
     PROTOCOL_IDS,
     PartyId,
+    RunOutcome,
+    check_sampling,
     run_plain_km,
     run_secure_km,
     run_with_sampling,
@@ -71,6 +73,14 @@ _BINCOUNT_MAX_BITS = 22
 _AFFINE_REPLAYS = 64
 # 2^64 / golden ratio: a stride that spreads samples over every bit of an index.
 _GOLDEN_64 = 0x9E3779B97F4A7C15
+
+# Raw 32-bit generator outputs drawn per Monte Carlo batch, which bounds the
+# batch's memory whatever the trial count or block length.
+_MC_BATCH_WORDS = 1 << 13
+# Trials per Monte Carlo run replayed through the message-passing code.
+_MC_REPLAYS = 64
+# Leading trials per Monte Carlo run drawn again through `run_with_sampling`.
+_MC_PREFIX = 8
 
 
 @dataclass(eq=False)
@@ -303,9 +313,13 @@ def _replay(protocol_id: str, code: LinearCode | None, n: int,
         out = run_plain_km(code, xv, yv)
     else:
         out = run_zero_error_otp(xv, yv, kv)
+    return {"x": x, "y": y, "z": x ^ y, "k": k, **_outputs(out)}
+
+
+def _outputs(out: RunOutcome) -> dict[str, int]:
+    """The three link payloads and the decoded sum of one run."""
     t = out.transcript
     return {
-        "x": x, "y": y, "z": x ^ y, "k": k,
         "m12": t.link_payload(PartyId.ALICE, PartyId.BOB).bits,
         "m13": t.link_payload(PartyId.ALICE, PartyId.CHARLIE).bits,
         "m23": t.link_payload(PartyId.BOB, PartyId.CHARLIE).bits,
@@ -313,15 +327,18 @@ def _replay(protocol_id: str, code: LinearCode | None, n: int,
     }
 
 
+def _spread(size: int, samples: int) -> list[int]:
+    """Up to `samples` indices below `size`, at an odd stride near size/phi."""
+    stride = (size * _GOLDEN_64 >> 64) | 1
+    return [i * stride % size for i in range(min(samples, size))]
+
+
 def _spread_atoms(n: int, klen: int, samples: int):
     """(index, x, y, k) of up to `samples` atoms, index = (x << n | y) << klen | k.
 
     The stride is odd and near size/phi, so the sampled x, y and k all vary.
     """
-    size = 1 << (2 * n + klen)
-    stride = (size * _GOLDEN_64 >> 64) | 1
-    for i in range(min(samples, size)):
-        idx = i * stride % size
+    for idx in _spread(1 << (2 * n + klen), samples):
         yield idx, idx >> (klen + n), (idx >> klen) & ((1 << n) - 1), idx & ((1 << klen) - 1)
 
 
@@ -530,16 +547,120 @@ def monte_carlo_error(
     trials: int,
     rng: Random,
 ) -> MonteCarloError:
-    """Fraction of incorrect runs over fresh samples, with a 3-sigma half-width."""
+    """Fraction of incorrect runs over fresh samples, with a 3-sigma half-width.
+
+    The trials are the ones `trials` calls of `run_with_sampling` would draw
+    from `rng`, run in batches: each batch decodes x, the noise bits and the
+    key of every trial from the raw generator words those calls would consume,
+    so the error count and the final state of `rng` are the same. Every call
+    replays a spread sample of trials through the message-passing code and
+    draws the first trials again through `run_with_sampling`, so neither the
+    batch algebra nor the stream decode can drift from the protocols.
+    """
     if trials < 1:
         raise ContractViolation(f"need at least one trial, got {trials}")
+    check_sampling(protocol_id, params, code, rng)
+    n = params.n
+    klen = n if protocol_id == "zero-error-otp" else code.m if protocol_id == "secure-km" else 0
+    xwords = -(-n // 32)
+    # One trial draws getrandbits(n), n random() calls of two words each, then the key.
+    width = xwords + 2 * n + -(-klen // 32)
+    batch = max(1, _MC_BATCH_WORDS // width)
+    tables = None if protocol_id == "zero-error-otp" else _syndrome_tables(code.matrix.rows, n)
+    # random() is (a >> 5 << 26 | b >> 6) / 2^53, so random() < p iff that integer < limit.
+    limit = math.ceil(params.p * 2.0**53)
+    replayed = _spread(trials, _MC_REPLAYS)
+    picked = set(replayed).union(range(min(_MC_PREFIX, trials)))
+    prefix_rng = Random()
+    prefix_rng.setstate(rng.getstate())
+
     errors = 0
-    for _ in range(trials):
-        if not run_with_sampling(protocol_id, params, code, rng).correct:
-            errors += 1
+    seen: dict[int, dict[str, int]] = {}
+    for lo in range(0, trials, batch):
+        count = min(batch, trials - lo)
+        raw = rng.getrandbits(32 * width * count).to_bytes(4 * width * count, "little")
+        x, z, k = _decode_trials(np.frombuffer(raw, dtype="<u4").reshape(count, width),
+                                 n, klen, limit)
+        y = x ^ z
+        if tables is None:
+            m13, m23 = k ^ x, k ^ y
+            zhat = m13 ^ m23
+        else:
+            mask = k[:, 0].astype(np.int64) if klen else 0
+            m13 = mask ^ _batch_syndromes(tables, x)
+            m23 = mask ^ _batch_syndromes(tables, y)
+            # Leaders are int64 words of n <= 63 bits; split them into word rows like z.
+            zhat = code.leaders[m13 ^ m23].astype("<u8").view("<u4").reshape(count, 2)[:, :xwords]
+        wrong = (zhat != z).any(axis=1)
+        errors += int(np.count_nonzero(wrong))
+        for i in [i for i in picked if lo <= i < lo + count]:
+            j = i - lo
+            seen[i] = {name: _word(col, j) for name, col in (
+                ("x", x), ("y", y), ("z", z), ("k", k),
+                ("m12", k), ("m13", m13), ("m23", m23), ("zhat", zhat))}
+            seen[i]["wrong"] = bool(wrong[j])
+
+    for i in replayed:
+        atom = _replay(protocol_id, code, n, seen[i]["x"], seen[i]["y"], seen[i]["k"], klen)
+        atom["wrong"] = atom["zhat"] != atom["z"]
+        if atom != seen[i]:
+            raise RuntimeError(f"Monte Carlo trial {i} disagrees with protocol replay")
+    for i in range(min(_MC_PREFIX, trials)):
+        out = run_with_sampling(protocol_id, params, code, prefix_rng)
+        drawn = {**_outputs(out), "wrong": not out.correct}
+        if drawn != {name: seen[i][name] for name in drawn}:
+            raise RuntimeError(f"Monte Carlo trial {i} disagrees with run_with_sampling")
+
     p_hat = errors / trials
     half_width = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return MonteCarloError(trials=trials, errors=errors, p_err=p_hat, half_width_3sigma=half_width)
+
+
+def _decode_trials(words: np.ndarray, n: int, klen: int, limit: int):
+    """(x, z, k) of the trials whose raw generator words are the rows of `words`.
+
+    Each is returned as little-endian word rows of 32-bit words, the layout
+    getrandbits uses; noise bit i is set when the i-th random() value,
+    scaled by 2^53, lies below `limit`.
+    """
+    xwords = -(-n // 32)
+    a = words[:, xwords : xwords + 2 * n : 2] >> 5
+    b = words[:, xwords + 1 : xwords + 2 * n : 2] >> 6
+    flips = (a.astype(np.uint64) << 26 | b) < limit
+    noise = np.zeros((len(words), 4 * xwords), dtype=np.uint8)
+    noise[:, : -(-n // 8)] = np.packbits(flips, axis=1, bitorder="little")
+    return (_drawn_bits(words[:, :xwords], n), noise.view("<u4"),
+            _drawn_bits(words[:, xwords + 2 * n :], klen))
+
+
+def _drawn_bits(words: np.ndarray, nbits: int) -> np.ndarray:
+    """What getrandbits(nbits) returns from these raw words, as little-endian word rows.
+
+    Every word is used whole except the last, which keeps its top nbits % 32 bits.
+    """
+    out = words.copy()
+    if nbits % 32:
+        out[:, -1] >>= 32 - nbits % 32
+    return out
+
+
+def _syndrome_tables(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """Row j holds the syndrome of every byte value placed at byte j of an n-bit word."""
+    return np.stack([span_table(((row >> 8 * j) & 0xFF for row in rows), 8)
+                     for j in range(-(-n // 8))])
+
+
+def _batch_syndromes(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Packed syndromes of little-endian word rows: the xor of one lookup per byte."""
+    octets = words.view(np.uint8)[:, : len(tables)]
+    return np.bitwise_xor.reduce(tables[np.arange(len(tables)), octets], axis=1)
+
+
+def _word(column: np.ndarray, j: int) -> int:
+    """Entry j of a column of packed values or of little-endian word rows."""
+    if column.ndim == 1:
+        return int(column[j])
+    return int.from_bytes(column[j].tobytes(), "little")
 
 
 CSV_COLUMNS = (

@@ -215,9 +215,12 @@ def _instance_row(protocol: str, n: int, m: int, p: float, master_seed: int,
 def _write(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write --out file {out!r}: {e.strerror or e}")
 
 
 def _emit_rows(rows: list[ReportRow], out: str | None) -> None:
@@ -281,6 +284,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if proto not in PROTOCOL_IDS:
             raise UsageError(f"unknown protocol {proto!r}")
     ns = _list(raw, "n", int)
+    for n in ns:
+        if n < 1:
+            raise UsageError(f"--n entries must be positive, got {n}")
     mode = _opt(raw, "mode", str, "exact")
     if mode not in _SWEEP_MODES:
         raise UsageError(f"unknown mode {mode!r}")

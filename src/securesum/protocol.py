@@ -170,13 +170,9 @@ def run_zero_error_otp(x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) -> RunOutcome:
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
 
 
-def run_with_sampling(
-    protocol_id: str,
-    params: DsbsParams,
-    code: LinearCode | None = None,
-    rng: Random | None = None,
-) -> RunOutcome:
-    """Sample (x, y) and any private randomness, then run the named protocol."""
+def check_sampling(protocol_id: str, params: DsbsParams, code: LinearCode | None,
+                   rng: Random | None) -> None:
+    """Refuse the arguments `run_with_sampling` cannot run one protocol on."""
     if protocol_id not in PROTOCOL_IDS:
         raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
     if rng is None:
@@ -186,6 +182,16 @@ def run_with_sampling(
             raise ConfigurationError(f"{protocol_id} needs a code")
         if code.n != params.n:
             raise ContractViolation(f"code length {code.n} != source length {params.n}")
+
+
+def run_with_sampling(
+    protocol_id: str,
+    params: DsbsParams,
+    code: LinearCode | None = None,
+    rng: Random | None = None,
+) -> RunOutcome:
+    """Sample (x, y) and any private randomness, then run the named protocol."""
+    check_sampling(protocol_id, params, code, rng)
     x, y = sample_pair(params, rng)
     if protocol_id == "secure-km":
         return run_secure_km(code, x, y, random_vector(code.m, rng))

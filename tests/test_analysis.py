@@ -26,6 +26,7 @@ from securesum.analysis import (
 from securesum.codes import build_code, code_from_matrix, exact_error_probability
 from securesum.errors import CapacityError, ConfigurationError, ContractViolation
 from securesum.gf2 import Gf2Matrix, Gf2Vector
+from securesum.protocol import run_with_sampling
 from securesum.source import DsbsParams, binary_entropy, pair_probability
 
 FIXTURE = code_from_matrix(Gf2Matrix.from_rows([[1, 1, 0], [0, 1, 1]]))
@@ -251,6 +252,68 @@ def test_monte_carlo_against_exact():
     assert mc0.p_err == 0.0 and mc0.half_width_3sigma == 0.0
     with pytest.raises(ContractViolation):
         monte_carlo_error("secure-km", FIXTURE, DsbsParams(p=p, n=3), 0, Random(0))
+    with pytest.raises(ContractViolation, match="explicit rng"):
+        monte_carlo_error("secure-km", FIXTURE, DsbsParams(p=p, n=3), 10, None)
+    with pytest.raises(ContractViolation, match="code length"):
+        monte_carlo_error("plain-km", FIXTURE, DsbsParams(p=0.1, n=4), 10, Random(0))
+    with pytest.raises(ConfigurationError, match="unknown protocol"):
+        monte_carlo_error("bogus", FIXTURE, DsbsParams(p=p, n=3), 10, Random(0))
+    with pytest.raises(ConfigurationError, match="needs a code"):
+        monte_carlo_error("secure-km", None, DsbsParams(p=p, n=3), 10, Random(0))
+
+
+def _scalar_monte_carlo(protocol_id, code, params, trials, rng):
+    """The per-trial loop the batched kernel replaced: (errors, 3-sigma half-width)."""
+    errors = sum(not run_with_sampling(protocol_id, params, code, rng).correct
+                 for _ in range(trials))
+    p_hat = errors / trials
+    return errors, 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+
+
+def _trials_per_batch(protocol_id, n, m):
+    klen = {"secure-km": m, "plain-km": 0, "zero-error-otp": n}[protocol_id]
+    width = -(-n // 32) + 2 * n + -(-klen // 32)
+    return max(1, analysis._MC_BATCH_WORDS // width)
+
+
+def test_batched_monte_carlo_matches_scalar_stream():
+    cases = [(proto, n, m) for proto in ("secure-km", "plain-km")
+             for n, m in ((1, 1), (5, 0), (8, 5), (16, 12), (32, 16), (33, 0), (40, 20))]
+    cases += [("zero-error-otp", n, n) for n in (1, 5, 8, 16, 32, 33, 40, 70)]
+    for i, (proto, n, m) in enumerate(cases):
+        code = None if proto == "zero-error-otp" else build_code(n, m, seed=i)
+        batch = _trials_per_batch(proto, n, m)
+        for p in (0.0, 0.5, 0.07):
+            for trials in (1, batch - 1, batch + 1, 1000):
+                if trials < 1:
+                    continue
+                rng, ref = Random(1000 * i + trials), Random(1000 * i + trials)
+                params = DsbsParams(p=p, n=n)
+                mc = monte_carlo_error(proto, code, params, trials, rng)
+                errors, half_width = _scalar_monte_carlo(proto, code, params, trials, ref)
+                case = (proto, n, m, p, trials)
+                assert mc.trials == trials, case
+                assert mc.errors == errors, case
+                assert mc.p_err == errors / trials, case
+                assert mc.half_width_3sigma == half_width, case
+                assert rng.getstate() == ref.getstate(), case
+
+
+def test_monte_carlo_self_checks_catch_faults(monkeypatch):
+    code = build_code(12, 8, seed=3)
+    params = DsbsParams(p=0.1, n=12)
+    tables = analysis._syndrome_tables
+    with monkeypatch.context() as patch:
+        # Syndromes lose their top bit; the replays recompute them in full.
+        patch.setattr(analysis, "_syndrome_tables", lambda rows, n: tables(rows[:-1], n))
+        with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
+            monte_carlo_error("plain-km", code, params, 500, Random(1))
+    drawn = analysis._drawn_bits
+    with monkeypatch.context() as patch:
+        # x decoded one bit short: self-consistent, so only the fresh draws catch it.
+        patch.setattr(analysis, "_drawn_bits", lambda words, nbits: drawn(words, nbits) >> 1)
+        with pytest.raises(RuntimeError, match="disagrees with run_with_sampling"):
+            monte_carlo_error("secure-km", code, params, 500, Random(1))
 
 
 def test_enumeration_guard():

@@ -8,13 +8,19 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import securesum
 from securesum.analysis import CSV_COLUMNS
 from securesum.cli import CSV_VERSION_COMMENT, derive_run_seed, main
+from securesum.protocol import PROTOCOL_IDS
 from securesum.source import binary_entropy
 
 RATE_MARGIN_POINT = binary_entropy(0.1) + 0.15
@@ -202,6 +208,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["simulate", "--protocol", "secure-km", "--n", "4", "--m", "5", "--p", "0.1"],
         ["simulate", "--protocol", "secure-km", "--n", "4", "--m", "2", "--p", "0.1", "--trials", "0"],
         ["simulate", "--protocol", "secure-km", "--n", "4", "--m", "2", "--p", "0.1", "--mode", "leakage"],
+        ["sweep", "--protocol", "plain-km", "--n", "0", "--rate", "0", "--p", "0"],
         ["region", "--quad", "1,1,1", "--p", "0.25"],
         ["region", "--quad", "1,1,1,-0.2", "--p", "0.25"],
         ["region", "--quad", "1,1,1,1", "--p", "0.6"],
@@ -279,6 +286,95 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, doc):
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["region", "--quad", "1,1,1,1", "--p", "0.25"],
+    _SIM + ["--m", "2"],
+    _SWEEP + ["--n", "4", "--p", "0.1"],
+], ids=["region", "simulate", "sweep"])
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, argv, target):
+    out = tmp_path / "no_such_dir" / "x.csv" if target == "missing-dir" else tmp_path
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
+# One bad value or key per corrupted option set; None leaves the set valid.
+_EDITS = [None, {"protocol": "bogus"}, {"n": 0}, {"n": "x"}, {"p": 0.7}, {"trials": 0},
+          {"mode": "nope"}, {"m": 99}, {"rate": 0.5, "m": 1}, {"seed": 1.5}]
+
+
+@st.composite
+def _option_sets(draw):
+    """(command, options): a simulate or sweep option set, valid or with one edit."""
+    sweep = draw(st.booleans())
+    protocols = draw(st.lists(st.sampled_from(PROTOCOL_IDS), min_size=1,
+                              max_size=3 if sweep else 1, unique=True))
+    ns = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2 if sweep else 1))
+    options = {"protocol": protocols, "n": ns,
+               "p": draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5]), min_size=1,
+                                  max_size=2 if sweep else 1)),
+               "trials": draw(st.integers(1, 30))}
+    if protocols != ["zero-error-otp"]:
+        if draw(st.booleans()):
+            options["m"] = draw(st.lists(st.integers(0, min(ns)), min_size=1,
+                                         max_size=2 if sweep else 1))
+        else:
+            options["rate"] = draw(st.lists(st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+                                            min_size=1, max_size=2 if sweep else 1))
+    for key, values in (("seed", st.integers(0, 3)),
+                        ("mode", st.sampled_from(["exact", "monte-carlo", "both", "leakage"]))):
+        if draw(st.booleans()):
+            options[key] = draw(values)
+    if sweep:
+        options["seeds"] = draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            options["aggregate"] = True
+    else:
+        options = {k: v[0] if isinstance(v, list) else v for k, v in options.items()}
+    edit = draw(st.sampled_from(_EDITS))
+    if edit:
+        options.update({k: [v] if sweep and isinstance(options.get(k), list) else v
+                        for k, v in edit.items()})
+    return ("sweep" if sweep else "simulate"), options
+
+
+def _flag(value) -> str:
+    if isinstance(value, list):
+        return ",".join(_flag(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _run_main(argv) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_option_sets())
+def test_flags_and_config_file_agree(case):
+    command, options = case
+    argv = [command]
+    for key, value in options.items():
+        argv += [f"--{key}"] if value is True else [f"--{key}", _flag(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "options.json"
+        cfg.write_text(json.dumps(options))
+        from_flags = _run_main(argv)
+        from_config = _run_main([command, "--config", str(cfg)])
+    event(f"exit {from_flags[0]}")
+    assert from_flags[0] == from_config[0], (argv, from_flags, from_config)
+    if from_flags[0] == 0:
+        assert from_flags[1] == from_config[1]
+    else:
+        assert from_flags[0] == 2
+        assert from_flags[2].startswith("usage error:")
+        assert from_config[2].startswith("usage error:")
 
 
 def test_config_file_supplies_unset_options(tmp_path):
