@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Sequence
 
@@ -22,10 +23,11 @@ from .codes import ENUMERATION_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
 from .gf2 import Gf2Vector, echelon, span_table
 from .protocol import (
-    PROTOCOL_IDS,
+    PROTOCOLS,
     PartyId,
+    ProtocolSpec,
     RunOutcome,
-    check_sampling,
+    check_instance,
     run_plain_km,
     run_secure_km,
     run_with_sampling,
@@ -58,13 +60,6 @@ __all__ = [
 
 # Tolerance used when deciding membership of a rate quadruple.
 REGION_SLACK = 1e-9
-
-# Link payloads concatenated in this order form the transcript digest.
-_SCHEDULE = {
-    "secure-km": ("m12", "m13", "m23"),
-    "zero-error-otp": ("m12", "m13", "m23"),
-    "plain-km": ("m13", "m23"),
-}
 
 _CHUNK = 1 << 20
 _BINCOUNT_MAX_BITS = 22
@@ -138,7 +133,7 @@ def _expand(protocol: str, widths: dict[str, int], variables) -> tuple[str, ...]
     names: list[str] = []
     for name in variables:
         if name == "transcript":
-            names.extend(_SCHEDULE[protocol])
+            names.extend(PROTOCOLS[protocol].schedule)
         elif name in widths:
             names.append(name)
         else:
@@ -230,7 +225,6 @@ def enumerate_joint(
     code: LinearCode | None,
     params: DsbsParams,
     *,
-    guard_bits: int = ENUMERATION_GUARD_BITS,
     replay_samples: int = 64,
 ) -> JointPmf:
     """Exhaustive pmf over every (x, y, k); one atom per combination.
@@ -240,13 +234,15 @@ def enumerate_joint(
     it claims to summarise.
     """
     n = params.n
-    m, mlen, klen = _dimensions(protocol_id, code, n)
-    if protocol_id != "zero-error-otp":
-        synd, leaders = code.syndrome_table(), code.leaders
+    spec, mlen, klen = check_instance(protocol_id, code, n)
+    if spec.coded:
+        syndrome, decode = code.syndrome_table().take, code.leaders.take
+    else:
+        syndrome = decode = _identity
     total_bits = 2 * n + klen
-    if total_bits > guard_bits:
+    if total_bits > ENUMERATION_GUARD_BITS:
         raise CapacityError(
-            f"joint pmf needs 2^{total_bits} = {1 << total_bits} atoms, guard is 2^{guard_bits}"
+            f"joint pmf needs 2^{total_bits} = {1 << total_bits} atoms, guard is 2^{ENUMERATION_GUARD_BITS}"
         )
     size = 1 << total_bits
     names = ("x", "y", "z", "k", "m12", "m13", "m23", "zhat")
@@ -269,50 +265,41 @@ def enumerate_joint(
         y = (idx >> klen) & nmask
         x = idx >> (klen + n)
         z = x ^ y
-        if protocol_id == "secure-km":
-            m13, m23 = k ^ synd[x], k ^ synd[y]
-            zhat = leaders[m13 ^ m23]
-        elif protocol_id == "plain-km":
-            m13, m23 = synd[x], synd[y]
-            zhat = leaders[m13 ^ m23]
-        else:
-            m13, m23 = k ^ x, k ^ y
-            zhat = m13 ^ m23
+        m13, m23, zhat = _batch_run(syndrome, decode, x, y, k)
         for name, col in (("x", x), ("y", y), ("z", z), ("k", k),
                           ("m12", k), ("m13", m13), ("m23", m23), ("zhat", zhat)):
             columns[name][lo:hi] = col
         probs[lo:hi] = ptable[np.bitwise_count(z)]
-    pmf = JointPmf(protocol=protocol_id, n=n, m=m, p=params.p,
+    pmf = JointPmf(protocol=protocol_id, n=n, m=mlen, p=params.p,
                    widths=widths, columns=columns, probs=probs)
-    _replay_check(pmf, code, replay_samples)
+    _replay_check(pmf, spec, code, replay_samples)
     return pmf
 
 
-def _dimensions(protocol_id: str, code: LinearCode | None, n: int) -> tuple[int, int, int]:
-    """(m, syndrome length, key length) of one instance, after checking the code."""
-    if protocol_id not in PROTOCOL_IDS:
-        raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
-    if protocol_id == "zero-error-otp":
-        if code is not None and code.n != n:
-            raise ContractViolation(f"code length {code.n} != source length {n}")
-        return n, n, n
-    if code is None:
-        raise ConfigurationError(f"{protocol_id} needs a code")
-    if code.n != n:
-        raise ContractViolation(f"code length {code.n} != source length {n}")
-    return code.m, code.m, code.m if protocol_id == "secure-km" else 0
+def _batch_run(syndrome, decode, x, y, k):
+    """(m13, m23, zhat) of a batch of runs: the protocol algebra of both batch engines.
+
+    S is the syndrome map of a coded protocol and decode its leader lookup, both
+    the identity for an uncoded one; k is 0 for an unmasked one.
+    """
+    m13, m23 = k ^ syndrome(x), k ^ syndrome(y)
+    return m13, m23, decode(m13 ^ m23)
 
 
-def _replay(protocol_id: str, code: LinearCode | None, n: int,
+def _identity(words):
+    return words
+
+
+def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
             x: int, y: int, k: int, klen: int) -> dict[str, int]:
     """Every variable of one (x, y, k) atom, from a run of the message-passing code."""
     xv, yv, kv = Gf2Vector(x, n), Gf2Vector(y, n), Gf2Vector(k, klen)
-    if protocol_id == "secure-km":
-        out = run_secure_km(code, xv, yv, kv)
-    elif protocol_id == "plain-km":
-        out = run_plain_km(code, xv, yv)
-    else:
+    if not spec.coded:
         out = run_zero_error_otp(xv, yv, kv)
+    elif spec.masked:
+        out = run_secure_km(code, xv, yv, kv)
+    else:
+        out = run_plain_km(code, xv, yv)
     return {"x": x, "y": y, "z": x ^ y, "k": k, **_outputs(out)}
 
 
@@ -342,11 +329,12 @@ def _spread_atoms(n: int, klen: int, samples: int):
         yield idx, idx >> (klen + n), (idx >> klen) & ((1 << n) - 1), idx & ((1 << klen) - 1)
 
 
-def _replay_check(pmf: JointPmf, code: LinearCode | None, samples: int) -> None:
+def _replay_check(pmf: JointPmf, spec: ProtocolSpec, code: LinearCode | None,
+                  samples: int) -> None:
     klen = pmf.widths["k"]
     for i, x, y, k in _spread_atoms(pmf.n, klen, samples):
         atom = {name: int(col[i]) for name, col in pmf.columns.items()}
-        if atom != _replay(pmf.protocol, code, pmf.n, x, y, k, klen):
+        if atom != _replay(spec, code, pmf.n, x, y, k, klen):
             raise RuntimeError(f"enumerated atom {i} disagrees with protocol replay")
 
 
@@ -358,35 +346,33 @@ def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) 
     algebra cannot drift from the protocols it claims to summarise.
     """
     n = params.n
-    m, mlen, klen = _dimensions(protocol_id, code, n)
+    spec, mlen, klen = check_instance(protocol_id, code, n)
     if n > ENUMERATION_GUARD_BITS:
         raise CapacityError(
             f"exact leakage sums 2^{n} noise words, guard is 2^{ENUMERATION_GUARD_BITS}"
         )
-    if protocol_id == "zero-error-otp":
-        zhat = np.arange(1 << n, dtype=np.int64)
-    else:
-        zhat = code.leaders[code.syndrome_table()]
-    rows = _affine_rows(protocol_id, code, n, mlen, klen)
+    words = np.arange(1 << n, dtype=np.int64)
+    zhat = code.leaders[code.syndrome_table()] if spec.coded else words
+    rows = _affine_rows(spec, code, n, mlen, klen)
     ptable = np.array([params.p**d * (1.0 - params.p) ** (n - d) for d in range(n + 1)])
     joint = AffineJoint(
-        protocol=protocol_id, n=n, m=m, p=params.p,
+        protocol=protocol_id, n=n, m=mlen, p=params.p,
         widths={name: len(r) for name, r in rows.items()}, rows=rows, zhat=zhat,
-        probs=ptable[np.bitwise_count(np.arange(1 << n, dtype=np.int64))],
+        probs=ptable[np.bitwise_count(words)],
     )
-    _replay_affine(joint, code)
+    _replay_affine(joint, spec, code)
     return joint
 
 
-def _affine_rows(protocol_id: str, code: LinearCode | None, n: int,
+def _affine_rows(spec: ProtocolSpec, code: LinearCode | None, n: int,
                  mlen: int, klen: int) -> dict[str, tuple[int, ...]]:
     """One packed row per variable bit over the word z | zhat << n | x << 2n | k << 3n."""
     Z, ZH, X, K = 0, n, 2 * n, 3 * n
     eye = [1 << i for i in range(n)]
     # The map each party applies to its own input before masking.
-    parity = eye if protocol_id == "zero-error-otp" else list(code.matrix.rows)
+    parity = list(code.matrix.rows) if spec.coded else eye
     key = _shift(K, [1 << i for i in range(klen)])
-    mask = key if klen else (0,) * mlen
+    mask = key if spec.masked else (0,) * mlen
     m13 = _xor(mask, _shift(X, parity))
     return {
         "x": _shift(X, eye),
@@ -408,7 +394,7 @@ def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(u ^ v for u, v in zip(a, b, strict=True))
 
 
-def _replay_affine(joint: AffineJoint, code: LinearCode | None) -> None:
+def _replay_affine(joint: AffineJoint, spec: ProtocolSpec, code: LinearCode | None) -> None:
     n, klen = joint.n, joint.widths["k"]
     for _, x, y, k in _spread_atoms(n, klen, _AFFINE_REPLAYS):
         word = (x ^ y) | int(joint.zhat[x ^ y]) << n | x << 2 * n | k << 3 * n
@@ -416,7 +402,7 @@ def _replay_affine(joint: AffineJoint, code: LinearCode | None) -> None:
             name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))
             for name, rows in joint.rows.items()
         }
-        if got != _replay(joint.protocol, code, n, x, y, k, klen):
+        if got != _replay(spec, code, n, x, y, k, klen):
             raise RuntimeError(
                 f"affine description disagrees with protocol replay at x={x:#x}, y={y:#x}, k={k:#x}"
             )
@@ -559,14 +545,22 @@ def monte_carlo_error(
     """
     if trials < 1:
         raise ContractViolation(f"need at least one trial, got {trials}")
-    check_sampling(protocol_id, params, code, rng)
     n = params.n
-    klen = n if protocol_id == "zero-error-otp" else code.m if protocol_id == "secure-km" else 0
+    spec, _, klen = check_instance(protocol_id, code, n)
+    if rng is None:
+        raise ContractViolation("an explicit rng is required")
     xwords = -(-n // 32)
     # One trial draws getrandbits(n), n random() calls of two words each, then the key.
     width = xwords + 2 * n + -(-klen // 32)
     batch = max(1, _MC_BATCH_WORDS // width)
-    tables = None if protocol_id == "zero-error-otp" else _syndrome_tables(code.matrix.rows, n)
+    if spec.coded:
+        syndrome = partial(_batch_syndromes, _syndrome_tables(code.matrix.rows, n))
+
+        def decode(synd):
+            # Leaders are int64 words of n <= 63 bits; split them into word rows like z.
+            return code.leaders[synd].astype("<u8").view("<u4").reshape(len(synd), 2)[:, :xwords]
+    else:
+        syndrome = decode = _identity
     # random() is (a >> 5 << 26 | b >> 6) / 2^53, so random() < p iff that integer < limit.
     limit = math.ceil(params.p * 2.0**53)
     replayed = _spread(trials, _MC_REPLAYS)
@@ -582,15 +576,9 @@ def monte_carlo_error(
         x, z, k = _decode_trials(np.frombuffer(raw, dtype="<u4").reshape(count, width),
                                  n, klen, limit)
         y = x ^ z
-        if tables is None:
-            m13, m23 = k ^ x, k ^ y
-            zhat = m13 ^ m23
-        else:
-            mask = k[:, 0].astype(np.int64) if klen else 0
-            m13 = mask ^ _batch_syndromes(tables, x)
-            m23 = mask ^ _batch_syndromes(tables, y)
-            # Leaders are int64 words of n <= 63 bits; split them into word rows like z.
-            zhat = code.leaders[m13 ^ m23].astype("<u8").view("<u4").reshape(count, 2)[:, :xwords]
+        # A coded protocol's syndromes, and so its key, are packed ints of m <= 24 bits.
+        key = (k[:, 0].astype(np.int64) if spec.coded else k) if klen else 0
+        m13, m23, zhat = _batch_run(syndrome, decode, x, y, key)
         wrong = (zhat != z).any(axis=1)
         errors += int(np.count_nonzero(wrong))
         for i in [i for i in picked if lo <= i < lo + count]:
@@ -601,7 +589,7 @@ def monte_carlo_error(
             seen[i]["wrong"] = bool(wrong[j])
 
     for i in replayed:
-        atom = _replay(protocol_id, code, n, seen[i]["x"], seen[i]["y"], seen[i]["k"], klen)
+        atom = _replay(spec, code, n, seen[i]["x"], seen[i]["y"], seen[i]["k"], klen)
         atom["wrong"] = atom["zhat"] != atom["z"]
         if atom != seen[i]:
             raise RuntimeError(f"Monte Carlo trial {i} disagrees with protocol replay")

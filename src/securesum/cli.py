@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .codes import build_code, exact_error_probability, m_for_rate
 from .errors import CapacityError, ConfigurationError, ContractViolation
-from .protocol import PROTOCOL_IDS, nominal_rates
+from .protocol import PROTOCOL_IDS, PROTOCOLS, ProtocolSpec, nominal_rates
 from .source import DsbsParams, binary_entropy
 
 CSV_VERSION_COMMENT = "# securesum-csv v1"
@@ -67,7 +67,7 @@ class ExperimentConfig:
         p = _req(raw, "p", float)
         if not 0.0 <= p <= 0.5:
             raise UsageError(f"--p must lie in [0, 1/2], got {p}")
-        m = _resolve_m(protocol, n, raw)
+        m = _resolve_m(PROTOCOLS[protocol], n, raw)
         mode = _opt(raw, "mode", str, "both")
         if mode not in _SWEEP_MODES:
             raise UsageError(f"unknown mode {mode!r}")
@@ -138,14 +138,14 @@ def _list(raw: dict, key: str, kind) -> list:
     return [_cast(key, v, kind) for v in value]
 
 
-def _resolve_m(protocol: str, n: int, raw: dict) -> int:
+def _resolve_m(spec: ProtocolSpec, n: int, raw: dict) -> int:
     has_m, has_rate = raw.get("m") is not None, raw.get("rate") is not None
-    if protocol == "zero-error-otp":
+    if not spec.coded:
         if has_m or has_rate:
-            raise UsageError("zero-error-otp takes neither --m nor --rate")
+            raise UsageError(f"{spec.name} takes neither --m nor --rate")
         return n
     if has_m == has_rate:
-        raise UsageError(f"{protocol} needs exactly one of --m or --rate")
+        raise UsageError(f"{spec.name} needs exactly one of --m or --rate")
     if has_m:
         m = _req(raw, "m", int)
         if not 0 <= m <= n:
@@ -168,7 +168,11 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
         if not isinstance(doc, dict):
             raise UsageError(f"config file must hold a JSON object, got {type(doc).__name__}")
         for key, value in doc.items():
-            raw[key.replace("-", "_")] = value
+            name = key.replace("-", "_")
+            if name not in keys:
+                raise UsageError(f"config key {key!r} is not an option of this command;"
+                                 f" it takes {', '.join(keys)}")
+            raw[name] = value
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
@@ -189,9 +193,7 @@ def _instance_row(protocol: str, n: int, m: int, p: float, master_seed: int,
                   index: int, mode: str, trials: int) -> ReportRow:
     seed = derive_run_seed(master_seed, protocol, n, m, p, index)
     rng = Random(seed)
-    code = None
-    if protocol in ("secure-km", "plain-km"):
-        code = build_code(n, m, seed=rng.getrandbits(63))
+    code = build_code(n, m, seed=rng.getrandbits(63)) if PROTOCOLS[protocol].coded else None
     row = ReportRow(protocol=protocol, n=n, m=m, p=p, seed=seed)
     if mode == "leakage":
         joint = affine_joint(protocol, code, DsbsParams(p, n))
@@ -199,15 +201,14 @@ def _instance_row(protocol: str, n: int, m: int, p: float, master_seed: int,
         rates = rate_report(joint)
         row.eps1, row.eps2, row.eps3, row.eps4 = leak.eps1, leak.eps2, leak.eps3, leak.eps4
         row.r13, row.r23, row.r12, row.rho = rates.quadruple()
-        row.p_err_exact = exact_error_probability(code, p) if code else 0.0
     else:
         row.r13, row.r23, row.r12, row.rho = nominal_rates(protocol, n, m)
-        if mode in ("exact", "both"):
-            row.p_err_exact = exact_error_probability(code, p) if code else 0.0
-        if mode in ("monte-carlo", "both"):
-            mc = monte_carlo_error(protocol, code, DsbsParams(p, n), trials, rng)
-            row.p_err_mc = mc.p_err
-            row.mc_ci = mc.half_width_3sigma
+    if mode != "monte-carlo":
+        row.p_err_exact = exact_error_probability(code, p) if code else 0.0
+    if mode in ("monte-carlo", "both"):
+        mc = monte_carlo_error(protocol, code, DsbsParams(p, n), trials, rng)
+        row.p_err_mc = mc.p_err
+        row.mc_ci = mc.half_width_3sigma
     row.in_region = check_rate_region((row.r13, row.r23, row.r12, row.rho), p)
     return row
 
@@ -302,7 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     points: list[tuple[str, int, int, float]] = []
     for proto in protocols:
         for n in ns:
-            if proto == "zero-error-otp":
+            if not PROTOCOLS[proto].coded:
                 m_values = [n]
             elif has_m == has_rate:
                 raise UsageError(f"{proto} needs exactly one of --m or --rate")
@@ -328,7 +329,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    raw = _merge_config(args, ("quad", "p", "out"))
+    raw = _merge_config(args, _REGION_KEYS)
     quad = _quad(raw)
     p = _req(raw, "p", float)
     if not 0.0 <= p <= 0.5:
@@ -343,6 +344,23 @@ def cmd_region(args: argparse.Namespace) -> int:
 _SINGLE_KEYS = ("protocol", "n", "m", "rate", "p", "seed", "trials", "mode", "out")
 _SWEEP_KEYS = ("protocol", "n", "m", "rate", "p", "seed", "seeds", "trials", "mode",
                "aggregate", "quad", "out")
+_REGION_KEYS = ("quad", "p", "out")
+
+# Help text of every option, in help order; each command takes the options its keys name.
+_HELP = {
+    "protocol": f"one of {', '.join(PROTOCOL_IDS)}",
+    "n": "block length (sweep: comma list)",
+    "m": "syndrome length (sweep: comma list)",
+    "rate": "target rate; m = ceil(n*rate) (sweep: comma list)",
+    "p": "source flip rate in [0, 1/2] (sweep: comma list)",
+    "seed": "master seed (default 0)",
+    "seeds": "independent code instances per point (default 1)",
+    "trials": f"Monte Carlo trials (default {_DEFAULT_TRIALS})",
+    "mode": "exact | monte-carlo | both | leakage (sweep only)",
+    "quad": "rate quadruple r13,r23,r12,rho",
+    "aggregate": "emit one mean row per sweep point",
+    "out": "output path (default stdout)",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -354,31 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, keys):
         sp.add_argument("--config", help="JSON file supplying any unset options")
-        if "protocol" in keys:
-            sp.add_argument("--protocol", help=f"one of {', '.join(PROTOCOL_IDS)}")
-        if "n" in keys:
-            sp.add_argument("--n", help="block length (sweep: comma list)")
-        if "m" in keys:
-            sp.add_argument("--m", help="syndrome length (sweep: comma list)")
-        if "rate" in keys:
-            sp.add_argument("--rate", help="target rate; m = ceil(n*rate) (sweep: comma list)")
-        if "p" in keys:
-            sp.add_argument("--p", help="source flip rate in [0, 1/2] (sweep: comma list)")
-        if "seed" in keys:
-            sp.add_argument("--seed", help="master seed (default 0)")
-        if "seeds" in keys:
-            sp.add_argument("--seeds", help="independent code instances per point (default 1)")
-        if "trials" in keys:
-            sp.add_argument("--trials", help=f"Monte Carlo trials (default {_DEFAULT_TRIALS})")
-        if "mode" in keys:
-            sp.add_argument("--mode", help="exact | monte-carlo | both | leakage (sweep only)")
-        if "quad" in keys:
-            sp.add_argument("--quad", help="rate quadruple r13,r23,r12,rho")
-        if "aggregate" in keys:
-            sp.add_argument("--aggregate", action="store_const", const=True, default=None,
-                            help="emit one mean row per sweep point")
-        if "out" in keys:
-            sp.add_argument("--out", help="output path (default stdout)")
+        for key in (key for key in _HELP if key in keys):
+            if key == "aggregate":
+                sp.add_argument("--aggregate", action="store_const", const=True, default=None,
+                                help=_HELP[key])
+            else:
+                sp.add_argument(f"--{key}", help=_HELP[key])
 
     sp = sub.add_parser("simulate", help="error analysis of one protocol instance")
     add_common(sp, _SINGLE_KEYS)
@@ -393,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("region", help="check a rate quadruple against the achievable region")
-    add_common(sp, ("quad", "p", "out"))
+    add_common(sp, _REGION_KEYS)
     sp.set_defaults(func=cmd_region)
     return parser
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any
 
 import numpy as np
 
@@ -17,8 +16,6 @@ __all__ = [
     "code_from_matrix",
     "exact_error_probability",
     "m_for_rate",
-    "to_json_dict",
-    "from_json_dict",
     "TABLE_GUARD_BITS",
     "ENUMERATION_GUARD_BITS",
 ]
@@ -159,20 +156,3 @@ def m_for_rate(n: int, rate: float) -> int:
         raise ContractViolation(f"rate must lie in [0, 1], got {rate}")
     return min(n, math.ceil(n * rate))
 
-
-def to_json_dict(code: LinearCode) -> dict[str, Any]:
-    """JSON-compatible form: {n, m, seed, H}; the leader table is rebuilt on load."""
-    return {
-        "n": code.n,
-        "m": code.m,
-        "seed": code.seed,
-        "H": [code.matrix.row(i).to_string() for i in range(code.m)],
-    }
-
-
-def from_json_dict(doc: dict[str, Any]) -> LinearCode:
-    rows = [Gf2Vector.from_string(r) for r in doc["H"]]
-    matrix = Gf2Matrix(tuple(v.bits for v in rows), int(doc["n"]))
-    if matrix.m != int(doc["m"]):
-        raise ContractViolation(f"document says m={doc['m']} but H has {matrix.m} rows")
-    return code_from_matrix(matrix, seed=doc.get("seed"))

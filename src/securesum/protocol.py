@@ -33,7 +33,56 @@ __all__ = [
     "parse_transcript",
 ]
 
-PROTOCOL_IDS = ("secure-km", "plain-km", "zero-error-otp")
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """One scheme, described by two facts; everything else is derived from them.
+
+    Each party sends a linear map of its block to Charlie. `coded`: the map is
+    the syndrome H·input, so the scheme needs a code and Charlie decodes with
+    its coset leaders; otherwise the block itself is sent. `masked`: Alice
+    deals a one-time-pad key as long as a message, which pads both messages to
+    Charlie and is what the 1-2 link carries.
+    """
+
+    name: str
+    coded: bool
+    masked: bool
+
+    @property
+    def schedule(self) -> tuple[str, ...]:
+        """The links that carry messages, in schedule order."""
+        return ("m12", "m13", "m23") if self.masked else ("m13", "m23")
+
+    def lengths(self, n: int, m: int | None) -> tuple[int, int]:
+        """(message length, key length) at block length n and syndrome length m."""
+        mlen = m if self.coded else n
+        return mlen, mlen if self.masked else 0
+
+
+PROTOCOLS = {spec.name: spec for spec in (
+    ProtocolSpec("secure-km", coded=True, masked=True),
+    ProtocolSpec("plain-km", coded=True, masked=False),
+    ProtocolSpec("zero-error-otp", coded=False, masked=True),
+)}
+PROTOCOL_IDS = tuple(PROTOCOLS)
+
+
+def protocol_spec(protocol_id: str) -> ProtocolSpec:
+    spec = PROTOCOLS.get(protocol_id)
+    if spec is None:
+        raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
+    return spec
+
+
+def check_instance(protocol_id: str, code: LinearCode | None, n: int) -> tuple[ProtocolSpec, int, int]:
+    """(spec, message length, key length) of one instance, after checking any code."""
+    spec = protocol_spec(protocol_id)
+    if spec.coded and code is None:
+        raise ConfigurationError(f"{protocol_id} needs a code")
+    if code is not None and code.n != n:
+        raise ContractViolation(f"code length {code.n} != source length {n}")
+    return (spec, *spec.lengths(n, code.m if spec.coded else None))
 
 
 class PartyId(IntEnum):
@@ -106,30 +155,26 @@ class RunOutcome:
 
 def nominal_rates(protocol_id: str, n: int, m: int | None) -> tuple[float, float, float, float]:
     """(r13, r23, r12, rho) fixed by the schedule and randomness accounting."""
-    if protocol_id == "secure-km":
-        if m is None:
-            raise ConfigurationError("secure-km needs a code")
-        return (m / n, m / n, m / n, m / n)
-    if protocol_id == "plain-km":
-        if m is None:
-            raise ConfigurationError("plain-km needs a code")
-        return (m / n, m / n, 0.0, 0.0)
-    if protocol_id == "zero-error-otp":
-        return (1.0, 1.0, 1.0, 1.0)
-    raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
+    spec = protocol_spec(protocol_id)
+    if spec.coded and m is None:
+        raise ConfigurationError(f"{protocol_id} needs a code")
+    mlen, klen = spec.lengths(n, m)
+    return (mlen / n, mlen / n, klen / n, klen / n)
 
 
 def output_from_transcript(protocol_id: str, transcript: Transcript, code: LinearCode | None = None) -> Gf2Vector:
     """Charlie's output computed from the messages on his two links alone."""
+    spec = protocol_spec(protocol_id)
+    if spec.coded and code is None:
+        raise ConfigurationError(f"{protocol_id} needs a code to decode")
+    return _charlie_output(transcript, code if spec.coded else None)
+
+
+def _charlie_output(transcript: Transcript, code: LinearCode | None) -> Gf2Vector:
+    """The xor of Charlie's two link payloads, decoded when there is a code."""
     m13 = transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE)
     m23 = transcript.link_payload(PartyId.BOB, PartyId.CHARLIE)
-    if protocol_id == "zero-error-otp":
-        return m13 ^ m23
-    if protocol_id in ("secure-km", "plain-km"):
-        if code is None:
-            raise ConfigurationError(f"{protocol_id} needs a code to decode")
-        return code.decode(m13 ^ m23)
-    raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
+    return m13 ^ m23 if code is None else code.decode(m13 ^ m23)
 
 
 def run_secure_km(code: LinearCode, x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) -> RunOutcome:
@@ -143,7 +188,7 @@ def run_secure_km(code: LinearCode, x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) ->
     # Bob masks with the bits he received, not with Alice's local variable.
     m23 = Message(2, PartyId.BOB, PartyId.CHARLIE, m12.payload ^ code.syndrome(y))
     transcript = Transcript((m12, m13, m23), {PartyId.ALICE: k})
-    z_hat = output_from_transcript("secure-km", transcript, code)
+    z_hat = _charlie_output(transcript, code)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
 
 
@@ -154,7 +199,7 @@ def run_plain_km(code: LinearCode, x: Gf2Vector, y: Gf2Vector) -> RunOutcome:
     m13 = Message(1, PartyId.ALICE, PartyId.CHARLIE, code.syndrome(x))
     m23 = Message(1, PartyId.BOB, PartyId.CHARLIE, code.syndrome(y))
     transcript = Transcript((m13, m23))
-    z_hat = output_from_transcript("plain-km", transcript, code)
+    z_hat = _charlie_output(transcript, code)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
 
 
@@ -166,22 +211,8 @@ def run_zero_error_otp(x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) -> RunOutcome:
     m13 = Message(1, PartyId.ALICE, PartyId.CHARLIE, k ^ x)
     m23 = Message(2, PartyId.BOB, PartyId.CHARLIE, m12.payload ^ y)
     transcript = Transcript((m12, m13, m23), {PartyId.ALICE: k})
-    z_hat = output_from_transcript("zero-error-otp", transcript)
+    z_hat = _charlie_output(transcript, None)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
-
-
-def check_sampling(protocol_id: str, params: DsbsParams, code: LinearCode | None,
-                   rng: Random | None) -> None:
-    """Refuse the arguments `run_with_sampling` cannot run one protocol on."""
-    if protocol_id not in PROTOCOL_IDS:
-        raise ConfigurationError(f"unknown protocol id: {protocol_id!r}")
-    if rng is None:
-        raise ContractViolation("an explicit rng is required")
-    if protocol_id in ("secure-km", "plain-km"):
-        if code is None:
-            raise ConfigurationError(f"{protocol_id} needs a code")
-        if code.n != params.n:
-            raise ContractViolation(f"code length {code.n} != source length {params.n}")
 
 
 def run_with_sampling(
@@ -191,13 +222,14 @@ def run_with_sampling(
     rng: Random | None = None,
 ) -> RunOutcome:
     """Sample (x, y) and any private randomness, then run the named protocol."""
-    check_sampling(protocol_id, params, code, rng)
+    spec, _, klen = check_instance(protocol_id, code, params.n)
+    if rng is None:
+        raise ContractViolation("an explicit rng is required")
     x, y = sample_pair(params, rng)
-    if protocol_id == "secure-km":
-        return run_secure_km(code, x, y, random_vector(code.m, rng))
-    if protocol_id == "plain-km":
-        return run_plain_km(code, x, y)
-    return run_zero_error_otp(x, y, random_vector(params.n, rng))
+    k = random_vector(klen, rng) if spec.masked else None
+    if not spec.coded:
+        return run_zero_error_otp(x, y, k)
+    return run_secure_km(code, x, y, k) if spec.masked else run_plain_km(code, x, y)
 
 
 def format_transcript(transcript: Transcript) -> str:

@@ -256,6 +256,8 @@ def test_monte_carlo_against_exact():
         monte_carlo_error("secure-km", FIXTURE, DsbsParams(p=p, n=3), 10, None)
     with pytest.raises(ContractViolation, match="code length"):
         monte_carlo_error("plain-km", FIXTURE, DsbsParams(p=0.1, n=4), 10, Random(0))
+    with pytest.raises(ContractViolation, match="code length"):
+        monte_carlo_error("zero-error-otp", FIXTURE, DsbsParams(p=0.1, n=4), 10, Random(0))
     with pytest.raises(ConfigurationError, match="unknown protocol"):
         monte_carlo_error("bogus", FIXTURE, DsbsParams(p=p, n=3), 10, Random(0))
     with pytest.raises(ConfigurationError, match="needs a code"):
@@ -314,6 +316,23 @@ def test_monte_carlo_self_checks_catch_faults(monkeypatch):
         patch.setattr(analysis, "_drawn_bits", lambda words, nbits: drawn(words, nbits) >> 1)
         with pytest.raises(RuntimeError, match="disagrees with run_with_sampling"):
             monte_carlo_error("secure-km", code, params, 500, Random(1))
+
+
+def test_both_batch_engines_share_one_kernel(monkeypatch):
+    # A kernel whose m23 forgets the key is caught by the replays of both callers.
+    honest = analysis._batch_run
+
+    def unmasked_m23(syndrome, decode, x, y, k):
+        m13, m23, zhat = honest(syndrome, decode, x, y, k)
+        return m13, m23 ^ k, zhat
+
+    monkeypatch.setattr(analysis, "_batch_run", unmasked_m23)
+    code = build_code(6, 4, seed=1)
+    for protocol, arg in (("secure-km", code), ("zero-error-otp", None)):
+        with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
+            enumerate_joint(protocol, arg, DsbsParams(p=0.2, n=6))
+        with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
+            monte_carlo_error(protocol, arg, DsbsParams(p=0.2, n=6), 300, Random(2))
 
 
 def test_enumeration_guard():

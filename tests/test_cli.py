@@ -123,6 +123,21 @@ def test_leakage_otp(tmp_path):
         assert row["in_region"] == "true"
 
 
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+def test_nominal_rates_equal_the_exact_engine_rates(tmp_path, protocol):
+    # simulate prints the rates the registry derives; leakage measures them.
+    rate_cols = ("r12", "r13", "r23", "rho")
+    for n, m, p in ((3, 2, 0.1), (5, 0, 0.25), (6, 4, 0.0), (7, 7, 0.5)):
+        size = [] if protocol == "zero-error-otp" else ["--m", str(m)]
+        common = ["--protocol", protocol, "--n", str(n), "--p", str(p), "--seed", "3"] + size
+        _, nominal = run_cli(["simulate", "--mode", "exact"] + common, tmp_path, "sim.csv")
+        _, exact = run_cli(["leakage"] + common, tmp_path, "leak.csv")
+        (nominal,), (exact,) = parse_rows(nominal), parse_rows(exact)
+        for col in rate_cols:
+            assert float(nominal[col]) == pytest.approx(float(exact[col]), abs=1e-12), \
+                (protocol, n, m, p, col)
+
+
 def test_sweep_aggregate_means_per_point(tmp_path):
     base = ["sweep", "--protocol", "secure-km", "--n", "6,9",
             "--rate", repr(RATE_MARGIN_POINT), "--p", "0.1",
@@ -244,7 +259,9 @@ def test_leakage_beyond_the_atom_count_of_the_oracle(tmp_path):
     ("simulate", "{not json"),
     ("simulate", {"trials": 0}),
     ("sweep", {"seeds": 0}),
-], ids=["missing-file", "not-json", "trials-0", "seeds-0"])
+    ("simulate", {"trails": 5}),  # a misspelt key
+    ("simulate", {"seeds": 2}),  # a sweep-only key
+], ids=["missing-file", "not-json", "trials-0", "seeds-0", "unknown-key", "sweep-only-key"])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, command, doc):
     cfg = tmp_path / "exp.json"
     if doc is not None:

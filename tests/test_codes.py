@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 from random import Random
 
 import numpy as np
@@ -12,9 +11,7 @@ from securesum.codes import (
     build_code,
     code_from_matrix,
     exact_error_probability,
-    from_json_dict,
     m_for_rate,
-    to_json_dict,
 )
 from securesum.errors import CapacityError, ContractViolation
 from securesum.gf2 import Gf2Matrix, Gf2Vector
@@ -193,18 +190,6 @@ def test_capacity_guards():
     assert 0.0 < exact_error_probability(build_code(63, 2, seed=0), p) < 1.0
     with pytest.raises(CapacityError, match="n <= 63"):
         build_code(64, 2, seed=0)
-
-
-def test_json_round_trip_rebuilds_leaders():
-    code = build_code(9, 4, seed=21)
-    doc = json.loads(json.dumps(to_json_dict(code)))
-    back = from_json_dict(doc)
-    assert back.matrix == code.matrix
-    assert back.n == code.n and back.m == code.m and back.seed == code.seed
-    assert (back.leaders == code.leaders).all()
-    assert "leaders" not in doc
-    with pytest.raises(ContractViolation):
-        from_json_dict({"n": 3, "m": 2, "seed": None, "H": ["110"]})
 
 
 @given(st.integers(0, 7), st.integers(0, 7))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,6 +12,7 @@ from securesum.errors import ConfigurationError, ContractViolation
 from securesum.gf2 import Gf2Matrix, Gf2Vector
 from securesum.protocol import (
     PROTOCOL_IDS,
+    PROTOCOLS,
     Message,
     PartyId,
     Transcript,
@@ -167,6 +170,37 @@ def test_nominal_rates():
         nominal_rates("bogus", 3, 2)
 
 
+def test_schedule_is_the_links_that_carry_messages():
+    # The "transcript" variable of both exact engines expands to the schedule.
+    code = build_code(6, 3, seed=2)
+    links = {(1, 2): "m12", (1, 3): "m13", (2, 3): "m23"}
+    for protocol, spec in PROTOCOLS.items():
+        out = run_with_sampling(protocol, DsbsParams(p=0.2, n=6),
+                                code=code if spec.coded else None, rng=Random(5))
+        carried = [links[(int(m.sender), int(m.receiver))] for m in out.transcript.messages]
+        assert tuple(dict.fromkeys(carried)) == spec.schedule, protocol
+
+
+def test_registry_is_the_only_protocol_dispatch():
+    # Every protocol ID spelt out in the program sits in the registry, so no
+    # branch elsewhere can compare against one.
+    src = Path(__file__).resolve().parents[1] / "src" / "securesum"
+    registry = None
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if path.name == "protocol.py" and isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "PROTOCOLS" for t in node.targets):
+                registry = (node.lineno, node.end_lineno)
+            if isinstance(node, ast.Constant) and node.value in PROTOCOL_IDS:
+                found.append((path.name, node.lineno, node.value))
+    assert registry is not None
+    outside = [f for f in found if f[0] != "protocol.py" or not registry[0] <= f[1] <= registry[1]]
+    assert outside == []
+    assert sorted(value for *_, value in found) == sorted(PROTOCOL_IDS)
+
+
 def test_run_with_sampling_validation():
     params = DsbsParams(p=0.1, n=4)
     code = build_code(4, 2, seed=0)
@@ -178,6 +212,10 @@ def test_run_with_sampling_validation():
         run_with_sampling("plain-km", params, code=code, rng=None)
     with pytest.raises(ContractViolation):
         run_with_sampling("secure-km", DsbsParams(p=0.1, n=5), code=code, rng=Random(0))
+    # An uncoded scheme ignores a code, but not one of the wrong length.
+    with pytest.raises(ContractViolation):
+        run_with_sampling("zero-error-otp", DsbsParams(p=0.1, n=5), code=code, rng=Random(0))
+    assert run_with_sampling("zero-error-otp", params, code=code, rng=Random(0)).correct
 
 
 def test_run_dimension_validation():
