@@ -6,7 +6,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from random import Random
 from statistics import fmean
@@ -23,13 +22,17 @@ from .analysis import (
 )
 from .codes import build_code, exact_error_probability, m_for_rate
 from .errors import CapacityError, ConfigurationError, ContractViolation
-from .protocol import PROTOCOL_IDS, PROTOCOLS, ProtocolSpec, nominal_rates
+from .protocol import PROTOCOL_IDS, PROTOCOLS, nominal_rates
 from .source import DsbsParams, binary_entropy
 
 CSV_VERSION_COMMENT = "# securesum-csv v1"
 
-_MODES = ("exact", "monte-carlo", "both")
-_SWEEP_MODES = _MODES + ("leakage",)
+# The modes each instance command accepts, its default first; leakage takes no --mode.
+_MODES = {
+    "simulate": ("both", "exact", "monte-carlo"),
+    "leakage": ("leakage",),
+    "sweep": ("exact", "monte-carlo", "both", "leakage"),
+}
 _DEFAULT_TRIALS = 100000
 
 
@@ -41,49 +44,6 @@ def derive_run_seed(master: int, protocol_id: str, n: int, m: int, p: float, ind
     """Stable per-instance seed; builtin hash() is salted, so use sha256."""
     text = f"{master}|{protocol_id}|{n}|{m}|{p:.12g}|{index}"
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-@dataclass
-class ExperimentConfig:
-    """One resolved experiment: protocol, block length, code size, source, seeds."""
-
-    protocol: str
-    n: int
-    m: int
-    p: float
-    seed: int
-    trials: int
-    mode: str
-    out: str | None
-
-    @classmethod
-    def resolve(cls, raw: dict) -> "ExperimentConfig":
-        protocol = _req(raw, "protocol", str)
-        if protocol not in PROTOCOL_IDS:
-            raise UsageError(f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOL_IDS)}")
-        n = _req(raw, "n", int)
-        if n < 1:
-            raise UsageError(f"--n must be positive, got {n}")
-        p = _req(raw, "p", float)
-        if not 0.0 <= p <= 0.5:
-            raise UsageError(f"--p must lie in [0, 1/2], got {p}")
-        m = _resolve_m(PROTOCOLS[protocol], n, raw)
-        mode = _opt(raw, "mode", str, "both")
-        if mode not in _SWEEP_MODES:
-            raise UsageError(f"unknown mode {mode!r}")
-        trials = _opt(raw, "trials", int, _DEFAULT_TRIALS)
-        if trials < 1:
-            raise UsageError(f"--trials must be positive, got {trials}")
-        return cls(
-            protocol=protocol,
-            n=n,
-            m=m,
-            p=p,
-            seed=_opt(raw, "seed", int, 0),
-            trials=trials,
-            mode=mode,
-            out=_opt(raw, "out", str, None),
-        )
 
 
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false"}
@@ -138,20 +98,27 @@ def _list(raw: dict, key: str, kind) -> list:
     return [_cast(key, v, kind) for v in value]
 
 
-def _resolve_m(spec: ProtocolSpec, n: int, raw: dict) -> int:
-    has_m, has_rate = raw.get("m") is not None, raw.get("rate") is not None
-    if not spec.coded:
-        if has_m or has_rate:
-            raise UsageError(f"{spec.name} takes neither --m nor --rate")
-        return n
-    if has_m == has_rate:
-        raise UsageError(f"{spec.name} needs exactly one of --m or --rate")
-    if has_m:
-        m = _req(raw, "m", int)
-        if not 0 <= m <= n:
-            raise UsageError(f"--m must lie in [0, n], got m={m}, n={n}")
-        return m
-    return m_for_rate(n, _req(raw, "rate", float))
+def _values(raw: dict, key: str, kind, sweep: bool) -> list:
+    """Option --key as a list: a sweep's comma list, or the one value of another command."""
+    return _list(raw, key, kind) if sweep else [_req(raw, key, kind)]
+
+
+def _check(key: str, values: list, ok, need: str) -> list:
+    """`values` of option --key, each of which must pass ok(); `need` says what ok() asks."""
+    for value in values:
+        if not ok(value):
+            raise UsageError(f"--{key} must {need}, got {value!r}")
+    return values
+
+
+def _flip_rates(raw: dict, sweep: bool) -> list[float]:
+    ps = _values(raw, "p", float, sweep)
+    return _check("p", ps, lambda p: 0.0 <= p <= 0.5, "lie in [0, 1/2]")
+
+
+def _count(raw: dict, key: str, default: int) -> int:
+    (value,) = _check(key, [_opt(raw, key, int, default)], lambda v: v >= 1, "be positive")
+    return value
 
 
 def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
@@ -229,22 +196,6 @@ def _emit_rows(rows: list[ReportRow], out: str | None) -> None:
     _write("\n".join(lines) + "\n", out)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.resolve(_merge_config(args, _SINGLE_KEYS))
-    if cfg.mode == "leakage":
-        raise UsageError("mode 'leakage' belongs to the leakage/sweep commands")
-    row = _instance_row(cfg.protocol, cfg.n, cfg.m, cfg.p, cfg.seed, 0, cfg.mode, cfg.trials)
-    _emit_rows([row], cfg.out)
-    return 0
-
-
-def cmd_leakage(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.resolve(_merge_config(args, _SINGLE_KEYS))
-    row = _instance_row(cfg.protocol, cfg.n, cfg.m, cfg.p, cfg.seed, 0, "leakage", cfg.trials)
-    _emit_rows([row], cfg.out)
-    return 0
-
-
 def _aggregate_rows(groups: list[list[ReportRow]], master_seed: int) -> list[ReportRow]:
     out = []
     mean_fields = ("eps1", "eps2", "eps3", "eps4", "p_err_exact", "p_err_mc", "mc_ci")
@@ -261,79 +212,91 @@ def _aggregate_rows(groups: list[list[ReportRow]], master_seed: int) -> list[Rep
     return out
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    raw = _merge_config(args, _SWEEP_KEYS)
-    out = _opt(raw, "out", str, None)
-    master_seed = _opt(raw, "seed", int, 0)
-    ps = _list(raw, "p", float)
-    for p in ps:
-        if not 0.0 <= p <= 0.5:
-            raise UsageError(f"--p entries must lie in [0, 1/2], got {p}")
-    if raw.get("quad") is not None:
-        quad = _quad(raw)
-        rows = []
-        for p in ps:
-            row = ReportRow(protocol=None, n=None, m=None, p=p, seed=None)
-            row.r13, row.r23, row.r12, row.rho = quad
-            row.in_region = check_rate_region(quad, p)
-            rows.append(row)
-        _emit_rows(rows, out)
-        return 0
+def _instance_rows(raw: dict, command: str) -> list[ReportRow]:
+    """The rows of every (protocol, n, m, p) point and code seed, in configuration order.
 
-    protocols = _list(raw, "protocol", str)
-    for proto in protocols:
-        if proto not in PROTOCOL_IDS:
-            raise UsageError(f"unknown protocol {proto!r}")
-    ns = _list(raw, "n", int)
-    for n in ns:
-        if n < 1:
-            raise UsageError(f"--n entries must be positive, got {n}")
-    mode = _opt(raw, "mode", str, "exact")
-    if mode not in _SWEEP_MODES:
-        raise UsageError(f"unknown mode {mode!r}")
-    trials = _opt(raw, "trials", int, _DEFAULT_TRIALS)
-    if trials < 1:
-        raise UsageError(f"--trials must be positive, got {trials}")
-    instances = _opt(raw, "seeds", int, 1)
-    if instances < 1:
-        raise UsageError(f"--seeds must be positive, got {instances}")
+    A sweep reads each point option as a comma list. simulate and leakage read
+    one value per option and have no --seeds or --aggregate, so each is a
+    one-point sweep of one code seed. A coded protocol needs exactly one of
+    --m or --rate; an uncoded one in a list with a coded one ignores them.
+    """
+    sweep = command == "sweep"
+
+    def values(key, kind):
+        return _values(raw, key, kind, sweep)
+
+    protocols = _check("protocol", values("protocol", str), PROTOCOLS.__contains__,
+                       f"be one of {', '.join(PROTOCOL_IDS)}")
+    ns = _check("n", values("n", int), lambda n: n >= 1, "be positive")
+    ps = _flip_rates(raw, sweep)
+    modes = _MODES[command]
+    (mode,) = _check("mode", [_opt(raw, "mode", str, modes[0])], modes.__contains__,
+                     f"be one of {' | '.join(modes)}")
+    trials = _count(raw, "trials", _DEFAULT_TRIALS)
+    seeds = _count(raw, "seeds", 1)
     aggregate = _opt(raw, "aggregate", bool, False)
+    master_seed = _opt(raw, "seed", int, 0)
+
+    coded = [proto for proto in protocols if PROTOCOLS[proto].coded]
     has_m, has_rate = raw.get("m") is not None, raw.get("rate") is not None
+    if coded and has_m == has_rate:
+        raise UsageError(f"{coded[0]} needs exactly one of --m or --rate")
+    if not coded and (has_m or has_rate):
+        raise UsageError(f"{', '.join(protocols)} takes neither --m nor --rate")
+    sizes: dict[int, list[int]] = {}  # the m of each n, for the coded protocols
+    if has_m:
+        ms = values("m", int)
+        sizes = {n: _check("m", ms, lambda m: 0 <= m <= n, f"lie in [0, n] for n={n}") for n in ns}
+    elif has_rate:
+        rates = values("rate", float)
+        sizes = {n: [m_for_rate(n, rate) for rate in rates] for n in ns}
 
-    points: list[tuple[str, int, int, float]] = []
-    for proto in protocols:
-        for n in ns:
-            if not PROTOCOLS[proto].coded:
-                m_values = [n]
-            elif has_m == has_rate:
-                raise UsageError(f"{proto} needs exactly one of --m or --rate")
-            elif has_m:
-                m_values = _list(raw, "m", int)
-            else:
-                m_values = [m_for_rate(n, r) for r in _list(raw, "rate", float)]
-            for p in ps:
-                for m in m_values:
-                    if not 0 <= m <= n:
-                        raise UsageError(f"need 0 <= m <= n, got m={m}, n={n}")
-                    points.append((proto, n, m, p))
+    points = [(proto, n, m, p) for proto in protocols for n in ns for p in ps
+              for m in (sizes[n] if PROTOCOLS[proto].coded else [n])]
+    groups = [[_instance_row(*point, master_seed, idx, mode, trials) for idx in range(seeds)]
+              for point in points]
+    return _aggregate_rows(groups, master_seed) if aggregate else list(chain.from_iterable(groups))
 
-    groups = [[_instance_row(proto, n, m, p, master_seed, idx, mode, trials)
-               for idx in range(instances)]
-              for proto, n, m, p in points]
-    if aggregate:
-        rows = _aggregate_rows(groups, master_seed)
-    else:
-        rows = list(chain.from_iterable(groups))
-    _emit_rows(rows, out)
+
+def _instances(args: argparse.Namespace, command: str) -> int:
+    raw = _merge_config(args, _KEYS[command])
+    out = _opt(raw, "out", str, None)
+    _emit_rows(_instance_rows(raw, command) if raw.get("quad") is None else _quad_rows(raw), out)
     return 0
 
 
-def cmd_region(args: argparse.Namespace) -> int:
-    raw = _merge_config(args, _REGION_KEYS)
+def _quad_rows(raw: dict) -> list[ReportRow]:
+    """sweep --quad: the region verdict of one rate quadruple at each p."""
+    stray = [f"--{key}" for key in _KEYS["sweep"]
+             if key not in _KEYS["region"] and raw.get(key) is not None]
+    if stray:
+        raise UsageError(f"--quad takes only --p and --out, not {', '.join(stray)}")
     quad = _quad(raw)
-    p = _req(raw, "p", float)
-    if not 0.0 <= p <= 0.5:
-        raise UsageError(f"--p must lie in [0, 1/2], got {p}")
+    rows = []
+    for p in _flip_rates(raw, sweep=True):
+        row = ReportRow(protocol=None, n=None, m=None, p=p, seed=None)
+        row.r13, row.r23, row.r12, row.rho = quad
+        row.in_region = check_rate_region(quad, p)
+        rows.append(row)
+    return rows
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    return _instances(args, "simulate")
+
+
+def cmd_leakage(args: argparse.Namespace) -> int:
+    return _instances(args, "leakage")
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    return _instances(args, "sweep")
+
+
+def cmd_region(args: argparse.Namespace) -> int:
+    raw = _merge_config(args, _KEYS["region"])
+    quad = _quad(raw)
+    (p,) = _flip_rates(raw, sweep=False)
     h2 = binary_entropy(p)
     ok = check_rate_region(quad, p)
     verdict = "in-region" if ok else "out-of-region"
@@ -341,10 +304,14 @@ def cmd_region(args: argparse.Namespace) -> int:
     return 0
 
 
-_SINGLE_KEYS = ("protocol", "n", "m", "rate", "p", "seed", "trials", "mode", "out")
-_SWEEP_KEYS = ("protocol", "n", "m", "rate", "p", "seed", "seeds", "trials", "mode",
-               "aggregate", "quad", "out")
-_REGION_KEYS = ("quad", "p", "out")
+# The options each command takes; only sweep reads --n, --m, --rate and --p as comma lists.
+_KEYS = {
+    "simulate": ("protocol", "n", "m", "rate", "p", "seed", "trials", "mode", "out"),
+    "leakage": ("protocol", "n", "m", "rate", "p", "seed", "out"),
+    "sweep": ("protocol", "n", "m", "rate", "p", "seed", "seeds", "trials", "mode",
+              "aggregate", "quad", "out"),
+    "region": ("quad", "p", "out"),
+}
 
 # Help text of every option, in help order; each command takes the options its keys name.
 _HELP = {
@@ -356,7 +323,7 @@ _HELP = {
     "seed": "master seed (default 0)",
     "seeds": "independent code instances per point (default 1)",
     "trials": f"Monte Carlo trials (default {_DEFAULT_TRIALS})",
-    "mode": "exact | monte-carlo | both | leakage (sweep only)",
+    "mode": "exact | monte-carlo | both | leakage (sweep only); default both, sweep exact",
     "quad": "rate quadruple r13,r23,r12,rho",
     "aggregate": "emit one mean row per sweep point",
     "out": "output path (default stdout)",
@@ -370,30 +337,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, keys):
+    for name, func, text in (
+        ("simulate", cmd_simulate, "error analysis of one protocol instance"),
+        ("leakage", cmd_leakage, "exact leakage and rate audit of one instance"),
+        ("sweep", cmd_sweep, "cartesian sweep over protocols, n, p, rates"),
+        ("region", cmd_region, "check a rate quadruple against the achievable region"),
+    ):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="JSON file supplying any unset options")
-        for key in (key for key in _HELP if key in keys):
+        for key in (key for key in _HELP if key in _KEYS[name]):
             if key == "aggregate":
                 sp.add_argument("--aggregate", action="store_const", const=True, default=None,
                                 help=_HELP[key])
             else:
                 sp.add_argument(f"--{key}", help=_HELP[key])
-
-    sp = sub.add_parser("simulate", help="error analysis of one protocol instance")
-    add_common(sp, _SINGLE_KEYS)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("leakage", help="exact leakage and rate audit of one instance")
-    add_common(sp, _SINGLE_KEYS)
-    sp.set_defaults(func=cmd_leakage)
-
-    sp = sub.add_parser("sweep", help="cartesian sweep over protocols, n, p, rates")
-    add_common(sp, _SWEEP_KEYS)
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("region", help="check a rate quadruple against the achievable region")
-    add_common(sp, _REGION_KEYS)
-    sp.set_defaults(func=cmd_region)
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -401,10 +359,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except (ContractViolation, ConfigurationError) as e:
+    except (UsageError, ContractViolation, ConfigurationError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

@@ -8,7 +8,7 @@ the messages it has already received, so a transcript can be replayed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from random import Random
 
@@ -29,8 +29,6 @@ __all__ = [
     "run_with_sampling",
     "output_from_transcript",
     "nominal_rates",
-    "format_transcript",
-    "parse_transcript",
 ]
 
 
@@ -113,7 +111,6 @@ class Message:
 @dataclass(frozen=True)
 class Transcript:
     messages: tuple[Message, ...]
-    randomness_used: dict[PartyId, Gf2Vector] = field(default_factory=dict)
 
     def link_messages(self, a: PartyId, b: PartyId) -> tuple[Message, ...]:
         pair = {a, b}
@@ -140,10 +137,6 @@ class Transcript:
     @property
     def l23(self) -> int:
         return self.link_length(PartyId.BOB, PartyId.CHARLIE)
-
-    def randomness_bits(self, party: PartyId) -> int:
-        v = self.randomness_used.get(party)
-        return 0 if v is None else v.n
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,7 @@ def run_secure_km(code: LinearCode, x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) ->
     m13 = Message(1, PartyId.ALICE, PartyId.CHARLIE, k ^ code.syndrome(x))
     # Bob masks with the bits he received, not with Alice's local variable.
     m23 = Message(2, PartyId.BOB, PartyId.CHARLIE, m12.payload ^ code.syndrome(y))
-    transcript = Transcript((m12, m13, m23), {PartyId.ALICE: k})
+    transcript = Transcript((m12, m13, m23))
     z_hat = _charlie_output(transcript, code)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
 
@@ -210,7 +203,7 @@ def run_zero_error_otp(x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) -> RunOutcome:
     m12 = Message(1, PartyId.ALICE, PartyId.BOB, k)
     m13 = Message(1, PartyId.ALICE, PartyId.CHARLIE, k ^ x)
     m23 = Message(2, PartyId.BOB, PartyId.CHARLIE, m12.payload ^ y)
-    transcript = Transcript((m12, m13, m23), {PartyId.ALICE: k})
+    transcript = Transcript((m12, m13, m23))
     z_hat = _charlie_output(transcript, None)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
 
@@ -231,23 +224,3 @@ def run_with_sampling(
         return run_zero_error_otp(x, y, k)
     return run_secure_km(code, x, y, k) if spec.masked else run_plain_km(code, x, y)
 
-
-def format_transcript(transcript: Transcript) -> str:
-    """One line per message: round,from,to,length,payload-bits."""
-    return "\n".join(
-        f"{m.round},{int(m.sender)},{int(m.receiver)},{m.declared_length},{m.payload.to_string()}"
-        for m in transcript.messages
-    )
-
-
-def parse_transcript(text: str) -> tuple[Message, ...]:
-    messages = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rnd, snd, rcv, length, payload = line.split(",")
-        vec = Gf2Vector.from_string(payload)
-        if vec.n != int(length):
-            raise ContractViolation(f"length field {length} != payload length {vec.n}")
-        messages.append(Message(int(rnd), PartyId(int(snd)), PartyId(int(rcv)), vec))
-    return tuple(messages)

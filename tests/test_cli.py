@@ -224,6 +224,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["simulate", "--protocol", "secure-km", "--n", "4", "--m", "2", "--p", "0.1", "--trials", "0"],
         ["simulate", "--protocol", "secure-km", "--n", "4", "--m", "2", "--p", "0.1", "--mode", "leakage"],
         ["sweep", "--protocol", "plain-km", "--n", "0", "--rate", "0", "--p", "0"],
+        # an uncoded protocol alone takes neither --m nor --rate, in a sweep too
+        ["sweep", "--protocol", "zero-error-otp", "--n", "4", "--m", "3", "--p", "0.1"],
+        ["sweep", "--protocol", "zero-error-otp", "--n", "4", "--rate", "0.5", "--p", "0.1"],
+        # --quad takes no instance option
+        ["sweep", "--quad", "1,1,1,1", "--p", "0.1", "--protocol", "bogus", "--n", "0",
+         "--mode", "nope", "--seeds", "0"],
         ["region", "--quad", "1,1,1", "--p", "0.25"],
         ["region", "--quad", "1,1,1,-0.2", "--p", "0.25"],
         ["region", "--quad", "1,1,1,1", "--p", "0.6"],
@@ -231,6 +237,32 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         assert "usage error" in capsys.readouterr().err
+
+
+def test_leakage_takes_no_mode_or_trials(tmp_path, capsys):
+    argv = ["leakage", "--protocol", "secure-km", "--n", "4", "--m", "2", "--p", "0.25"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--mode", "exact"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"trials": 5}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+def test_single_instance_commands_are_one_point_sweeps(protocol):
+    size = [] if protocol == "zero-error-otp" else ["--m", "3"]
+    point = ["--protocol", protocol, "--n", "5", "--p", "0.2", "--seed", "4"] + size
+    for mode in ("exact", "monte-carlo", "both"):
+        mc = ["--mode", mode, "--trials", "300"]
+        simulate = _run_main(["simulate"] + point + mc)
+        assert simulate[0] == 0
+        assert simulate == _run_main(["sweep"] + point + mc), mode
+    leakage = _run_main(["leakage"] + point)
+    assert leakage[0] == 0
+    assert leakage == _run_main(["sweep"] + point + ["--mode", "leakage"])
 
 
 def test_capacity_guard_exits_3(capsys):
