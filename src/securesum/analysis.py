@@ -64,16 +64,19 @@ REGION_SLACK = 1e-9
 _CHUNK = 1 << 20
 _BINCOUNT_MAX_BITS = 22
 
-# Atoms the affine engine replays through the message-passing code per instance.
-_AFFINE_REPLAYS = 64
+# Tolerance of the exact zero-error checks of Lemma 1.
+_LEMMA1_TOL = 1e-10
+
+# The variables of one run, in column order.
+_VARIABLES = ("x", "y", "z", "k", "m12", "m13", "m23", "zhat")
+# Atoms or trials every batch engine replays through the message-passing code per call.
+_REPLAYS = 64
 # 2^64 / golden ratio: a stride that spreads samples over every bit of an index.
 _GOLDEN_64 = 0x9E3779B97F4A7C15
 
 # Raw 32-bit generator outputs drawn per Monte Carlo batch, which bounds the
 # batch's memory whatever the trial count or block length.
 _MC_BATCH_WORDS = 1 << 13
-# Trials per Monte Carlo run replayed through the message-passing code.
-_MC_REPLAYS = 64
 # Leading trials per Monte Carlo run drawn again through `run_with_sampling`.
 _MC_PREFIX = 8
 
@@ -112,6 +115,9 @@ class JointPmf:
         key = _expand(self.protocol, self.widths, variables)
         if key in self._cache:
             return self._cache[key]
+        bits = sum(self.widths[name] for name in key)
+        if bits > 64:
+            raise CapacityError(f"joint key of {', '.join(key)} needs {bits} bits, limit is 64")
         comp = None
         shift = 0
         for name in key:
@@ -220,13 +226,7 @@ def conditional_mutual_information(pmf: JointPmf | AffineJoint, a, b, given=()) 
     return pmf.entropy(a + c) + pmf.entropy(b + c) - pmf.entropy(a + b + c) - pmf.entropy(c)
 
 
-def enumerate_joint(
-    protocol_id: str,
-    code: LinearCode | None,
-    params: DsbsParams,
-    *,
-    replay_samples: int = 64,
-) -> JointPmf:
+def enumerate_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> JointPmf:
     """Exhaustive pmf over every (x, y, k); one atom per combination.
 
     A spread sample of atoms is replayed through the message-passing engine
@@ -245,35 +245,32 @@ def enumerate_joint(
             f"joint pmf needs 2^{total_bits} = {1 << total_bits} atoms, guard is 2^{ENUMERATION_GUARD_BITS}"
         )
     size = 1 << total_bits
-    names = ("x", "y", "z", "k", "m12", "m13", "m23", "zhat")
-    widths = {
-        "x": n, "y": n, "z": n,
-        "k": klen, "m12": klen,
-        "m13": mlen, "m23": mlen,
-        "zhat": n,
-    }
-    columns = {name: np.empty(size, dtype=np.int32) for name in names}
+    widths = dict(zip(_VARIABLES, (n, n, n, klen, klen, mlen, mlen, n)))
+    columns = {name: np.empty(size, dtype=np.int32) for name in _VARIABLES}
     probs = np.empty(size, dtype=np.float64)
-    nmask = (1 << n) - 1
-    kmask = (1 << klen) - 1
     differ, agree = params.p / 2.0, (1.0 - params.p) / 2.0
     ptable = np.array([differ**d * agree ** (n - d) for d in range(n + 1)]) * 0.5**klen
     for lo in range(0, size, _CHUNK):
         hi = min(lo + _CHUNK, size)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        k = idx & kmask
-        y = (idx >> klen) & nmask
-        x = idx >> (klen + n)
-        z = x ^ y
-        m13, m23, zhat = _batch_run(syndrome, decode, x, y, k)
-        for name, col in (("x", x), ("y", y), ("z", z), ("k", k),
-                          ("m12", k), ("m13", m13), ("m23", m23), ("zhat", zhat)):
+        x, y, k = _split(np.arange(lo, hi, dtype=np.int64), n, klen)
+        run = _variables(x, y, k, *_batch_run(syndrome, decode, x, y, k))
+        for name, col in run.items():
             columns[name][lo:hi] = col
-        probs[lo:hi] = ptable[np.bitwise_count(z)]
-    pmf = JointPmf(protocol=protocol_id, n=n, m=mlen, p=params.p,
-                   widths=widths, columns=columns, probs=probs)
-    _replay_check(pmf, spec, code, replay_samples)
-    return pmf
+        probs[lo:hi] = ptable[np.bitwise_count(run["z"])]
+    _check_replays(spec, code, n, klen, "enumerated atom", (
+        (i, {name: int(col[i]) for name, col in columns.items()}) for i in _spread(size)))
+    return JointPmf(protocol=protocol_id, n=n, m=mlen, p=params.p,
+                    widths=widths, columns=columns, probs=probs)
+
+
+def _split(index, n: int, klen: int):
+    """(x, y, k) of an atom index (x << n | y) << klen | k, or of an array of them."""
+    return index >> (klen + n), (index >> klen) & ((1 << n) - 1), index & ((1 << klen) - 1)
+
+
+def _variables(x, y, k, m13, m23, zhat) -> dict:
+    """Every variable of a run, or of a batch of runs: z = x xor y, and m12 carries k."""
+    return dict(zip(_VARIABLES, (x, y, x ^ y, k, k, m13, m23, zhat)))
 
 
 def _batch_run(syndrome, decode, x, y, k):
@@ -304,38 +301,34 @@ def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
 
 
 def _outputs(out: RunOutcome) -> dict[str, int]:
-    """The three link payloads and the decoded sum of one run."""
+    """The three link payloads, the decoded sum and the verdict of one run."""
     t = out.transcript
     return {
         "m12": t.link_payload(PartyId.ALICE, PartyId.BOB).bits,
         "m13": t.link_payload(PartyId.ALICE, PartyId.CHARLIE).bits,
         "m23": t.link_payload(PartyId.BOB, PartyId.CHARLIE).bits,
         "zhat": out.z_hat.bits,
+        "wrong": not out.correct,
     }
 
 
-def _spread(size: int, samples: int) -> list[int]:
-    """Up to `samples` indices below `size`, at an odd stride near size/phi."""
-    stride = (size * _GOLDEN_64 >> 64) | 1
-    return [i * stride % size for i in range(min(samples, size))]
+def _spread(size: int) -> list[int]:
+    """Up to `_REPLAYS` indices below `size`, at an odd stride near size/phi.
 
-
-def _spread_atoms(n: int, klen: int, samples: int):
-    """(index, x, y, k) of up to `samples` atoms, index = (x << n | y) << klen | k.
-
-    The stride is odd and near size/phi, so the sampled x, y and k all vary.
+    An atom index (x << n | y) << klen | k taken this way varies x, y and k alike.
     """
-    for idx in _spread(1 << (2 * n + klen), samples):
-        yield idx, idx >> (klen + n), (idx >> klen) & ((1 << n) - 1), idx & ((1 << klen) - 1)
+    stride = (size * _GOLDEN_64 >> 64) | 1
+    return [i * stride % size for i in range(min(_REPLAYS, size))]
 
 
-def _replay_check(pmf: JointPmf, spec: ProtocolSpec, code: LinearCode | None,
-                  samples: int) -> None:
-    klen = pmf.widths["k"]
-    for i, x, y, k in _spread_atoms(pmf.n, klen, samples):
-        atom = {name: int(col[i]) for name, col in pmf.columns.items()}
-        if atom != _replay(spec, code, pmf.n, x, y, k, klen):
-            raise RuntimeError(f"enumerated atom {i} disagrees with protocol replay")
+def _check_replays(spec: ProtocolSpec, code: LinearCode | None, n: int, klen: int,
+                   what: str, atoms) -> None:
+    """Raise unless each (label, variables) atom of a batch engine agrees, in every
+    variable it has, with a run of the message-passing code on its own x, y and k."""
+    for label, atom in atoms:
+        run = _replay(spec, code, n, atom["x"], atom["y"], atom["k"], klen)
+        if atom != {name: run[name] for name in atom}:
+            raise RuntimeError(f"{what} {label} disagrees with protocol replay")
 
 
 def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> AffineJoint:
@@ -360,7 +353,8 @@ def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) 
         widths={name: len(r) for name, r in rows.items()}, rows=rows, zhat=zhat,
         probs=ptable[np.bitwise_count(words)],
     )
-    _replay_affine(joint, spec, code)
+    _check_replays(spec, code, n, klen, "affine atom", (
+        (i, _evaluate(joint, *_split(i, n, klen))) for i in _spread(1 << (2 * n + klen))))
     return joint
 
 
@@ -394,18 +388,14 @@ def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(u ^ v for u, v in zip(a, b, strict=True))
 
 
-def _replay_affine(joint: AffineJoint, spec: ProtocolSpec, code: LinearCode | None) -> None:
-    n, klen = joint.n, joint.widths["k"]
-    for _, x, y, k in _spread_atoms(n, klen, _AFFINE_REPLAYS):
-        word = (x ^ y) | int(joint.zhat[x ^ y]) << n | x << 2 * n | k << 3 * n
-        got = {
-            name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))
-            for name, rows in joint.rows.items()
-        }
-        if got != _replay(spec, code, n, x, y, k, klen):
-            raise RuntimeError(
-                f"affine description disagrees with protocol replay at x={x:#x}, y={y:#x}, k={k:#x}"
-            )
+def _evaluate(joint: AffineJoint, x: int, y: int, k: int) -> dict[str, int]:
+    """Every variable of the (x, y, k) atom, read off the affine description."""
+    n = joint.n
+    word = (x ^ y) | int(joint.zhat[x ^ y]) << n | x << 2 * n | k << 3 * n
+    return {
+        name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))
+        for name, rows in joint.rows.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -455,12 +445,12 @@ def rate_report(pmf: JointPmf | AffineJoint) -> RateReport:
     )
 
 
-def check_rate_region(quad: Sequence[float], p: float, *, slack: float = REGION_SLACK) -> bool:
+def check_rate_region(quad: Sequence[float], p: float) -> bool:
     """True when min(r13, r23, r12, rho) clears the binary entropy of p."""
     values = tuple(float(v) for v in quad)
     if len(values) != 4:
         raise ContractViolation(f"need a quadruple, got {len(values)} values")
-    return min(values) >= binary_entropy(p) - slack
+    return min(values) >= binary_entropy(p) - REGION_SLACK
 
 
 @dataclass(frozen=True)
@@ -472,27 +462,26 @@ class Lemma1Report:
     i_link12_inputs: float
     i_link13_inputs: float
     i_link23_inputs: float
-    tol: float = 1e-10
 
     @property
     def x_recoverable(self) -> bool:
-        return abs(self.h_x_given_alice_links) <= self.tol
+        return abs(self.h_x_given_alice_links) <= _LEMMA1_TOL
 
     @property
     def y_recoverable(self) -> bool:
-        return abs(self.h_y_given_bob_links) <= self.tol
+        return abs(self.h_y_given_bob_links) <= _LEMMA1_TOL
 
     @property
     def link12_independent(self) -> bool:
-        return abs(self.i_link12_inputs) <= self.tol
+        return abs(self.i_link12_inputs) <= _LEMMA1_TOL
 
     @property
     def link13_independent(self) -> bool:
-        return abs(self.i_link13_inputs) <= self.tol
+        return abs(self.i_link13_inputs) <= _LEMMA1_TOL
 
     @property
     def link23_independent(self) -> bool:
-        return abs(self.i_link23_inputs) <= self.tol
+        return abs(self.i_link23_inputs) <= _LEMMA1_TOL
 
     @property
     def all_hold(self) -> bool:
@@ -505,7 +494,7 @@ class Lemma1Report:
         )
 
 
-def check_lemma1(pmf: JointPmf | AffineJoint, *, tol: float = 1e-10) -> Lemma1Report:
+def check_lemma1(pmf: JointPmf | AffineJoint) -> Lemma1Report:
     """Five exact conditions: x and y recoverable from their owners' links,
     and every single link statistically independent of the input pair."""
     return Lemma1Report(
@@ -514,7 +503,6 @@ def check_lemma1(pmf: JointPmf | AffineJoint, *, tol: float = 1e-10) -> Lemma1Re
         i_link12_inputs=conditional_mutual_information(pmf, "m12", ("x", "y")),
         i_link13_inputs=conditional_mutual_information(pmf, "m13", ("x", "y")),
         i_link23_inputs=conditional_mutual_information(pmf, "m23", ("x", "y")),
-        tol=tol,
     )
 
 
@@ -563,7 +551,7 @@ def monte_carlo_error(
         syndrome = decode = _identity
     # random() is (a >> 5 << 26 | b >> 6) / 2^53, so random() < p iff that integer < limit.
     limit = math.ceil(params.p * 2.0**53)
-    replayed = _spread(trials, _MC_REPLAYS)
+    replayed = _spread(trials)
     picked = set(replayed).union(range(min(_MC_PREFIX, trials)))
     prefix_rng = Random()
     prefix_rng.setstate(rng.getstate())
@@ -583,19 +571,12 @@ def monte_carlo_error(
         errors += int(np.count_nonzero(wrong))
         for i in [i for i in picked if lo <= i < lo + count]:
             j = i - lo
-            seen[i] = {name: _word(col, j) for name, col in (
-                ("x", x), ("y", y), ("z", z), ("k", k),
-                ("m12", k), ("m13", m13), ("m23", m23), ("zhat", zhat))}
+            seen[i] = _variables(*(_word(col, j) for col in (x, y, k, m13, m23, zhat)))
             seen[i]["wrong"] = bool(wrong[j])
 
-    for i in replayed:
-        atom = _replay(spec, code, n, seen[i]["x"], seen[i]["y"], seen[i]["k"], klen)
-        atom["wrong"] = atom["zhat"] != atom["z"]
-        if atom != seen[i]:
-            raise RuntimeError(f"Monte Carlo trial {i} disagrees with protocol replay")
+    _check_replays(spec, code, n, klen, "Monte Carlo trial", ((i, seen[i]) for i in replayed))
     for i in range(min(_MC_PREFIX, trials)):
-        out = run_with_sampling(protocol_id, params, code, prefix_rng)
-        drawn = {**_outputs(out), "wrong": not out.correct}
+        drawn = _outputs(run_with_sampling(protocol_id, params, code, prefix_rng))
         if drawn != {name: seen[i][name] for name in drawn}:
             raise RuntimeError(f"Monte Carlo trial {i} disagrees with run_with_sampling")
 

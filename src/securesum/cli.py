@@ -213,7 +213,7 @@ def _aggregate_rows(groups: list[list[ReportRow]], master_seed: int) -> list[Rep
 
 
 def _instance_rows(raw: dict, command: str) -> list[ReportRow]:
-    """The rows of every (protocol, n, m, p) point and code seed, in configuration order.
+    """The rows of every distinct (protocol, n, m, p) point and code seed, in configuration order.
 
     A sweep reads each point option as a comma list. simulate and leakage read
     one value per option and have no --seeds or --aggregate, so each is a
@@ -251,8 +251,9 @@ def _instance_rows(raw: dict, command: str) -> list[ReportRow]:
         rates = values("rate", float)
         sizes = {n: [m_for_rate(n, rate) for rate in rates] for n in ns}
 
-    points = [(proto, n, m, p) for proto in protocols for n in ns for p in ps
-              for m in (sizes[n] if PROTOCOLS[proto].coded else [n])]
+    # Each point once, in first-seen order: rates can round to one m, and lists can repeat.
+    points = dict.fromkeys((proto, n, m, p) for proto in protocols for n in ns for p in ps
+                           for m in (sizes[n] if PROTOCOLS[proto].coded else [n]))
     groups = [[_instance_row(*point, master_seed, idx, mode, trials) for idx in range(seeds)]
               for point in points]
     return _aggregate_rows(groups, master_seed) if aggregate else list(chain.from_iterable(groups))

@@ -53,7 +53,7 @@ def secure_grid():
         for idx in range(GRID_SEEDS):
             seed = derive_run_seed(MASTER_SEED, "secure-km", n, m, p, idx)
             code = build_code(n, m, seed=seed)
-            pmf = enumerate_joint("secure-km", code, params, replay_samples=16)
+            pmf = enumerate_joint("secure-km", code, params)
             joint = affine_joint("secure-km", code, params)
             rows.append((n, m, p, leakage_report(pmf), rate_report(pmf),
                          leakage_report(joint), rate_report(joint)))

@@ -240,6 +240,21 @@ def test_entropy_is_cached():
     assert ("x", "y") in pmf._cache
 
 
+def test_entropy_refuses_a_key_wider_than_64_bits():
+    # Packed into one int64, b's set bit would land at bit 70 and be lost.
+    pmf = JointPmf(
+        protocol="plain-km", n=1, m=1, p=0.1, widths={"a": 40, "b": 40},
+        columns={"a": np.array([0, 0]), "b": np.array([0, 1 << 30])},
+        probs=np.array([0.5, 0.5]),
+    )
+    assert pmf.entropy("b") == 1.0
+    with pytest.raises(CapacityError, match="80 bits"):
+        pmf.entropy(("a", "b"))
+    # A 64-bit key only fills the sign bit, so it stays exact.
+    pmf.widths["a"] = 24
+    assert pmf.entropy(("a", "b")) == 1.0
+
+
 def test_monte_carlo_against_exact():
     p = 0.25
     exact = exact_error_probability(FIXTURE, p)
@@ -340,12 +355,14 @@ def test_enumeration_guard():
     with pytest.raises(CapacityError, match="2\\^25"):
         enumerate_joint("secure-km", code, DsbsParams(p=0.1, n=11))
     # plain-km consumes no key bits, so the same size passes the guard
-    pmf = enumerate_joint("plain-km", code, DsbsParams(p=0.1, n=11), replay_samples=4)
+    pmf = enumerate_joint("plain-km", code, DsbsParams(p=0.1, n=11))
     assert pmf.size == 1 << 22
 
 
 def test_enumeration_replay_check_varies_every_input(monkeypatch):
-    # The oracle's self-check must replay atoms spread over y and k as well as x.
+    # Every batch engine's self-check replays 64 atoms or trials, spread over
+    # x, y and k alike. The Monte Carlo redraw runs through the protocol
+    # module's own runner, so it is not recorded here.
     seen = []
     honest = analysis.run_secure_km
 
@@ -354,10 +371,15 @@ def test_enumeration_replay_check_varies_every_input(monkeypatch):
         return honest(code, x, y, k)
 
     monkeypatch.setattr(analysis, "run_secure_km", recording)
-    enumerate_joint("secure-km", build_code(8, 6, seed=2), DsbsParams(p=0.2, n=8))
-    assert len(seen) == 64
-    assert len({y for _, y, _ in seen}) > 1
-    assert len({k for _, _, k in seen}) > 1
+    code, params = build_code(8, 6, seed=2), DsbsParams(p=0.2, n=8)
+    for engine in (lambda: enumerate_joint("secure-km", code, params),
+                   lambda: affine_joint("secure-km", code, params),
+                   lambda: monte_carlo_error("secure-km", code, params, 1000, Random(4))):
+        seen.clear()
+        engine()
+        assert len(seen) == 64
+        for i in range(3):
+            assert len({run[i] for run in seen}) > 1
 
 
 def test_enumerate_joint_validation():

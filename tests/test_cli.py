@@ -173,6 +173,21 @@ def test_sweep_rows_follow_config_order(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("options", [
+    ["--protocol", "secure-km", "--n", "4", "--rate", "0.3,0.4", "--p", "0.1"],
+    ["--protocol", "secure-km", "--n", "4", "--m", "2,2", "--p", "0.1"],
+    ["--protocol", "secure-km", "--n", "4", "--m", "2", "--p", "0.1,0.1"],
+    ["--protocol", "secure-km,secure-km", "--n", "4,4", "--m", "2", "--p", "0.1"],
+])
+def test_sweep_runs_each_point_once(tmp_path, options):
+    # Rates that round to one m, and repeated list entries, name one point.
+    rc, text = run_cli(["sweep", *options, "--mode", "exact"], tmp_path)
+    assert rc == 0
+    rows = parse_rows(text)
+    points = [(r["protocol"], r["n"], r["m"], r["p"]) for r in rows]
+    assert points == [("secure-km", "4", "2", "0.1")]
+
+
 def test_sweep_quad_region_over_p(tmp_path):
     rc, text = run_cli(
         ["sweep", "--quad", "1,1,1,1", "--p", "0,0.25,0.5"],
