@@ -258,7 +258,8 @@ def enumerate_joint(protocol_id: str, code: LinearCode | None, params: DsbsParam
             columns[name][lo:hi] = col
         probs[lo:hi] = ptable[np.bitwise_count(run["z"])]
     _check_replays(spec, code, n, klen, "enumerated atom", (
-        (i, {name: int(col[i]) for name, col in columns.items()}) for i in _spread(size)))
+        (i, _split(i, n, klen), {name: int(col[i]) for name, col in columns.items()})
+        for i in _spread(size)))
     return JointPmf(protocol=protocol_id, n=n, m=mlen, p=params.p,
                     widths=widths, columns=columns, probs=probs)
 
@@ -323,10 +324,12 @@ def _spread(size: int) -> list[int]:
 
 def _check_replays(spec: ProtocolSpec, code: LinearCode | None, n: int, klen: int,
                    what: str, atoms) -> None:
-    """Raise unless each (label, variables) atom of a batch engine agrees, in every
-    variable it has, with a run of the message-passing code on its own x, y and k."""
-    for label, atom in atoms:
-        run = _replay(spec, code, n, atom["x"], atom["y"], atom["k"], klen)
+    """Raise unless each (label, (x, y, k), variables) atom of a batch engine agrees,
+    in every variable it has, with a run of the message-passing code on that x, y and k.
+    The inputs come apart from the variables, so an engine that misreads x, y or k
+    alike in every variable is still caught."""
+    for label, inputs, atom in atoms:
+        run = _replay(spec, code, n, *inputs, klen)
         if atom != {name: run[name] for name in atom}:
             raise RuntimeError(f"{what} {label} disagrees with protocol replay")
 
@@ -353,8 +356,9 @@ def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) 
         widths={name: len(r) for name, r in rows.items()}, rows=rows, zhat=zhat,
         probs=ptable[np.bitwise_count(words)],
     )
-    _check_replays(spec, code, n, klen, "affine atom", (
-        (i, _evaluate(joint, *_split(i, n, klen))) for i in _spread(1 << (2 * n + klen))))
+    atoms = ((i, _split(i, n, klen)) for i in _spread(1 << (2 * n + klen)))
+    _check_replays(spec, code, n, klen, "affine atom",
+                   ((i, xyk, _evaluate(joint, *xyk)) for i, xyk in atoms))
     return joint
 
 
@@ -574,7 +578,9 @@ def monte_carlo_error(
             seen[i] = _variables(*(_word(col, j) for col in (x, y, k, m13, m23, zhat)))
             seen[i]["wrong"] = bool(wrong[j])
 
-    _check_replays(spec, code, n, klen, "Monte Carlo trial", ((i, seen[i]) for i in replayed))
+    # A trial's inputs are the words decoded from its draw; the redraw below checks the decode.
+    _check_replays(spec, code, n, klen, "Monte Carlo trial", (
+        (i, (seen[i]["x"], seen[i]["y"], seen[i]["k"]), seen[i]) for i in replayed))
     for i in range(min(_MC_PREFIX, trials)):
         drawn = _outputs(run_with_sampling(protocol_id, params, code, prefix_rng))
         if drawn != {name: seen[i][name] for name in drawn}:

@@ -459,6 +459,27 @@ def test_affine_engine_replay_catches_a_corrupted_description(monkeypatch):
             affine_joint("secure-km", code, params)
 
 
+def test_affine_engine_replay_catches_a_remapped_key(monkeypatch):
+    # Key bit 1 reads key bit 0 in every row that holds the key, so the
+    # description is self-consistent with k' = (k0, k0, k2, ...); only a
+    # replay on the atom index's own k can see that k' is not the key.
+    n = 8
+    code = build_code(n, 6, seed=2)
+    params = DsbsParams(p=0.2, n=n)
+    honest = analysis._affine_rows
+    bit0, bit1 = 1 << 3 * n, 1 << (3 * n + 1)  # rows hold k at bits 3n..
+
+    def remapped(*args):
+        rows = honest(*args)
+        for name in ("k", "m12", "m13", "m23"):
+            rows[name] = tuple(row & ~bit1 | (bit0 if row & bit1 else 0) for row in rows[name])
+        return rows
+
+    monkeypatch.setattr(analysis, "_affine_rows", remapped)
+    with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
+        affine_joint("secure-km", code, params)
+
+
 def test_affine_engine_guard_and_validation():
     with pytest.raises(CapacityError, match="2\\^25"):
         affine_joint("zero-error-otp", None, DsbsParams(p=0.1, n=25))
