@@ -27,11 +27,46 @@ TABLE_GUARD_BITS = 24
 ENUMERATION_GUARD_BITS = 24
 
 
+# The leader search reads the table in blocks of `_BLOCK` syndromes and
+# extends their leaders in passes of at most about `_PASS` candidates; the bit
+# reversal takes `_PASS` words a pass. So temporaries stay small beside the table.
+_BLOCK = 1 << 16
+_PASS = 1 << 12
+
+# Bit-reversed value of every byte.
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
 def _bit_reverse(words: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros_like(words)
-    for i in range(n):
-        out |= ((words >> i) & 1) << (n - 1 - i)
-    return out
+    """Reverse the low n bits of each non-negative int64 word, in place.
+
+    Reversing a block's bytes in memory order and the bits of each byte
+    reverses all 64 bits of every word, and the order of the words, on either
+    byte order. The shift down to n bits runs on unsigned words, since bit 63
+    may now be set and an int64 shift would copy it down.
+    """
+    for lo in range(0, len(words), _PASS):
+        block = words[lo:lo + _PASS]
+        swapped = _REVERSED_BYTES.take(block.view(np.uint8)[::-1]).view(np.uint64)
+        block[:] = (swapped[::-1] >> np.uint64(64 - n)).view(np.int64)
+    return words
+
+
+def _extensions(words: np.ndarray, n: int):
+    """(word index, bit) pairs, in runs of whole words of about `_PASS` pairs.
+
+    A word pairs with each bit below its lowest set bit; the zero word with all n.
+    """
+    counts = np.minimum(np.bitwise_count(((words & -words) - 1).view(np.uint64)), n)
+    ends = np.cumsum(counts, dtype=np.int64)
+    lo = 0
+    while lo < len(words):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + _PASS, "right")), lo + 1)
+        run = counts[lo:hi]
+        yield (np.repeat(np.arange(lo, hi), run),
+               np.arange(base, ends[hi - 1]) - np.repeat(ends[lo:hi] - run, run))
+        lo = hi
 
 
 def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
@@ -41,29 +76,30 @@ def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
     significant bit and the tie-break is plain integer order. If w is the
     leader of s and bit j is its lowest set bit, then w ^ (1 << j) is the
     leader of s ^ h_j, where h_j is the column of that bit. So layer w extends
-    each leader of weight w - 1 by one bit below its lowest set bit, and each
-    syndrome still unfilled keeps its least candidate.
+    each leader of weight w - 1 by every bit below its lowest set bit, and each
+    syndrome still unfilled before the layer keeps its least candidate. A
+    layer is one vectorised pass over its candidates, split into bounded runs
+    (`_BLOCK`, `_PASS`) that leave the minimum over the same candidates.
     """
     n, m = matrix.cols, matrix.m
     if n > 63:
         raise CapacityError(f"leader words are packed in int64, so n <= 63; got n={n}")
-    cols = [sum(((row >> (n - 1 - j)) & 1) << i for i, row in enumerate(matrix.rows))
-            for j in range(n)]
+    cols = np.array([sum(((row >> (n - 1 - j)) & 1) << i for i, row in enumerate(matrix.rows))
+                     for j in range(n)], dtype=np.int64)
     empty = np.iinfo(np.int64).max  # above every leader, whose weight is <= m < 63
     rev = np.full(1 << m, empty, dtype=np.int64)
     rev[0] = 0
-    synd = np.zeros(1, dtype=np.int64)
-    while len(synd):
-        words = rev[synd]
+    layer = rev == 0  # the syndromes whose leaders the last layer found
+    while layer.any():
         still_open = rev == empty
-        for j in range(n):
-            ext = (words & ((2 << j) - 1)) == 0
-            if not ext.any():  # ext only shrinks as j grows
-                break
-            s = synd[ext] ^ cols[j]
-            keep = still_open[s]
-            np.minimum.at(rev, s[keep], words[ext][keep] | 1 << j)
-        synd = np.flatnonzero(still_open & (rev != empty))
+        for lo in range(0, len(rev), _BLOCK):
+            synd = np.flatnonzero(layer[lo:lo + _BLOCK]) + lo
+            words = rev[synd]
+            for leader, bit in _extensions(words, n):
+                s = synd[leader] ^ cols[bit]
+                keep = still_open[s]
+                np.minimum.at(rev, s[keep], words[leader[keep]] | 1 << bit[keep])
+        layer = still_open & (rev != empty)
     if (rev == empty).any():
         raise ContractViolation("matrix is not full rank: some syndromes unreachable")
     return _bit_reverse(rev, n)

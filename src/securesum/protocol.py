@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from random import Random
 
 from .codes import LinearCode
@@ -108,6 +109,9 @@ class Message:
             raise ContractViolation("a party cannot message itself")
 
 
+_NO_PAYLOAD = Gf2Vector.zeros(0)
+
+
 @dataclass(frozen=True)
 class Transcript:
     messages: tuple[Message, ...]
@@ -121,9 +125,14 @@ class Transcript:
 
     def link_payload(self, a: PartyId, b: PartyId) -> Gf2Vector:
         """Payload bits of one link concatenated in schedule order."""
-        out = Gf2Vector.zeros(0)
-        for m in self.link_messages(a, b):
-            out = out.concat(m.payload)
+        return self._payloads.get(frozenset((a, b)), _NO_PAYLOAD)
+
+    @cached_property
+    def _payloads(self) -> dict[frozenset[PartyId], Gf2Vector]:
+        out: dict[frozenset[PartyId], Gf2Vector] = {}
+        for m in self.messages:
+            link = frozenset((m.sender, m.receiver))
+            out[link] = out.get(link, _NO_PAYLOAD).concat(m.payload)
         return out
 
     @property

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from securesum import codes
 from securesum.codes import (
     build_code,
     code_from_matrix,
@@ -50,21 +52,34 @@ def _leader_oracle(matrix: Gf2Matrix) -> dict[int, int]:
     return best
 
 
-def _sorted_leader_reference(matrix: Gf2Matrix) -> np.ndarray:
-    # Sort all 2^n words by (weight, pattern with symbol 0 most significant)
-    # and keep the first word of each syndrome.
-    n = matrix.cols
-    words = np.arange(1 << n, dtype=np.int64)
+def _bit_reverse_per_bit(words: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros_like(words)
+    for i in range(n):
+        out |= ((words >> i) & 1) << (n - 1 - i)
+    return out
+
+
+def _least_word_per_syndrome(matrix: Gf2Matrix, words: np.ndarray) -> np.ndarray:
+    # Sort the words by (weight, pattern with symbol 0 most significant)
+    # and keep the first word of each syndrome; every syndrome must occur.
     synd = np.zeros_like(words)
-    rev = np.zeros_like(words)
     for i, row in enumerate(matrix.rows):
         synd |= (np.bitwise_count(words & row).astype(np.int64) & 1) << i
-    for i in range(n):
-        rev |= ((words >> i) & 1) << (n - 1 - i)
-    order = np.lexsort((rev, np.bitwise_count(words)))
+    order = np.lexsort((_bit_reverse_per_bit(words, matrix.cols), np.bitwise_count(words)))
     uniq, first = np.unique(synd[order], return_index=True)
     assert len(uniq) == 1 << matrix.m
     return words[order][first]
+
+
+def _sorted_leader_reference(matrix: Gf2Matrix) -> np.ndarray:
+    return _least_word_per_syndrome(matrix, np.arange(1 << matrix.cols, dtype=np.int64))
+
+
+def _weight_limited_leader_reference(matrix: Gf2Matrix, weight: int) -> np.ndarray:
+    # Only the words of weight <= `weight`, so n may go past the full table.
+    words = [sum(1 << j for j in support) for w in range(weight + 1)
+             for support in combinations(range(matrix.cols), w)]
+    return _least_word_per_syndrome(matrix, np.array(words, dtype=np.int64))
 
 
 def test_fixture_leader_table_matches_worked_example():
@@ -144,6 +159,44 @@ def test_leaders_match_sorted_full_table_reference():
     for n, m in ((6, 3), (8, 4), (10, 6), (11, 2), (21, 6), (22, 8)):
         code = build_code(n, m, seed=rng.randrange(10**6))
         assert np.array_equal(code.leaders, _sorted_leader_reference(code.matrix)), (n, m)
+
+
+def test_leaders_match_weight_limited_reference_beyond_full_table():
+    rng = Random(63)
+    for n in (32, 33, 48, 63):
+        for m in (1, 5, 8):
+            code = build_code(n, m, seed=rng.randrange(10**6))
+            weight = int(np.bitwise_count(code.leaders).max())
+            reference = _weight_limited_leader_reference(code.matrix, weight)
+            assert np.array_equal(code.leaders, reference), (n, m)
+
+
+def test_bit_reverse_matches_per_bit_loop(monkeypatch):
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 7, 8, 31, 32, 33, 63):
+        top = (1 << n) - 1
+        words = np.concatenate([
+            np.array([0, top, (top + 1) >> 1], dtype=np.int64),
+            rng.integers(0, top, size=3 * codes._PASS + 5, dtype=np.int64, endpoint=True),
+        ])
+        expect = _bit_reverse_per_bit(words, n)
+        assert np.array_equal(codes._bit_reverse(words.copy(), n), expect), n
+        monkeypatch.setattr(codes, "_PASS", 7)
+        assert np.array_equal(codes._bit_reverse(words.copy(), n), expect), n
+        monkeypatch.undo()
+
+
+def test_leader_search_chunks_leave_tables_unchanged(monkeypatch):
+    # Passes of a few candidates and blocks of a few syndromes cross every
+    # chunk boundary, including runs that split a layer mid-way.
+    rng = Random(77)
+    sizes = ((6, 3), (8, 4), (10, 6), (11, 2), (21, 6), (22, 8))
+    matrices = [build_code(n, m, seed=rng.randrange(10**6)).matrix for n, m in sizes]
+    monkeypatch.setattr(codes, "_PASS", 3)
+    monkeypatch.setattr(codes, "_BLOCK", 4)
+    for matrix in matrices:
+        code = code_from_matrix(matrix)
+        assert np.array_equal(code.leaders, _sorted_leader_reference(matrix)), matrix.cols
 
 
 def test_build_code_deterministic_and_full_rank():
