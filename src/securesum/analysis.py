@@ -12,7 +12,7 @@ exactly; sampling is used for error rates alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from random import Random
 from typing import Sequence
@@ -42,8 +42,6 @@ __all__ = [
     "RateReport",
     "Lemma1Report",
     "MonteCarloError",
-    "ReportRow",
-    "CSV_COLUMNS",
     "affine_joint",
     "enumerate_joint",
     "entropy",
@@ -54,7 +52,6 @@ __all__ = [
     "check_rate_region",
     "check_lemma1",
     "monte_carlo_error",
-    "csv_header",
     "REGION_SLACK",
 ]
 
@@ -107,9 +104,6 @@ class JointPmf:
     def total(self) -> float:
         return float(self.probs.sum())
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(self.widths)
-
     def entropy(self, variables) -> float:
         """Exact joint entropy (bits) of a set of atom variables."""
         key = _expand(self.protocol, self.widths, variables)
@@ -134,10 +128,8 @@ class JointPmf:
 
 def _expand(protocol: str, widths: dict[str, int], variables) -> tuple[str, ...]:
     """Sorted variable names of a set; "transcript" stands for the link payloads."""
-    if isinstance(variables, str):
-        variables = (variables,)
     names: list[str] = []
-    for name in variables:
+    for name in _names(variables):
         if name == "transcript":
             names.extend(PROTOCOLS[protocol].schedule)
         elif name in widths:
@@ -211,18 +203,20 @@ def entropy(pmf: JointPmf | AffineJoint, variables) -> float:
     return pmf.entropy(variables)
 
 
+def _names(variables) -> tuple[str, ...]:
+    """A variable set as a tuple of names: one name, or an iterable of them."""
+    return (variables,) if isinstance(variables, str) else tuple(variables)
+
+
 def conditional_entropy(pmf: JointPmf | AffineJoint, target, given=()) -> float:
     """H(target | given) = H(target, given) - H(given)."""
-    t = target if not isinstance(target, str) else (target,)
-    g = given if not isinstance(given, str) else (given,)
-    return pmf.entropy(tuple(t) + tuple(g)) - pmf.entropy(g)
+    given = _names(given)
+    return pmf.entropy(_names(target) + given) - pmf.entropy(given)
 
 
 def conditional_mutual_information(pmf: JointPmf | AffineJoint, a, b, given=()) -> float:
     """I(a; b | given), exact up to floating-point cancellation."""
-    a = (a,) if isinstance(a, str) else tuple(a)
-    b = (b,) if isinstance(b, str) else tuple(b)
-    c = (given,) if isinstance(given, str) else tuple(given)
+    a, b, c = _names(a), _names(b), _names(given)
     return pmf.entropy(a + c) + pmf.entropy(b + c) - pmf.entropy(a + b + c) - pmf.entropy(c)
 
 
@@ -489,13 +483,7 @@ class Lemma1Report:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.x_recoverable
-            and self.y_recoverable
-            and self.link12_independent
-            and self.link13_independent
-            and self.link23_independent
-        )
+        return all(abs(v) <= _LEMMA1_TOL for v in astuple(self))
 
 
 def check_lemma1(pmf: JointPmf | AffineJoint) -> Lemma1Report:
@@ -637,49 +625,3 @@ def _word(column: np.ndarray, j: int) -> int:
         return int(column[j])
     return int.from_bytes(column[j].tobytes(), "little")
 
-
-CSV_COLUMNS = (
-    "protocol", "n", "m", "p", "seed",
-    "r12", "r13", "r23", "rho",
-    "eps1", "eps2", "eps3", "eps4",
-    "p_err_exact", "p_err_mc", "mc_ci", "in_region",
-)
-
-
-@dataclass
-class ReportRow:
-    """One CSV row of the reporting schema; unset fields serialize empty."""
-
-    protocol: str
-    n: int
-    m: int
-    p: float
-    seed: int
-    r12: float | None = None
-    r13: float | None = None
-    r23: float | None = None
-    rho: float | None = None
-    eps1: float | None = None
-    eps2: float | None = None
-    eps3: float | None = None
-    eps4: float | None = None
-    p_err_exact: float | None = None
-    p_err_mc: float | None = None
-    mc_ci: float | None = None
-    in_region: bool | None = None
-
-    def csv_line(self) -> str:
-        def fmt(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
-
-        return ",".join(fmt(getattr(self, col)) for col in CSV_COLUMNS)
-
-
-def csv_header() -> str:
-    return ",".join(CSV_COLUMNS)

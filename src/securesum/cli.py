@@ -6,15 +6,14 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from random import Random
 from statistics import fmean
 
 from .analysis import (
-    ReportRow,
     affine_joint,
     check_rate_region,
-    csv_header,
     enumerate_joint,  # noqa: F401 - perfbench/tracing.py wraps the name in this module
     leakage_report,
     monte_carlo_error,
@@ -27,6 +26,46 @@ from .source import DsbsParams, binary_entropy
 
 CSV_VERSION_COMMENT = "# securesum-csv v1"
 
+
+@dataclass
+class ReportRow:
+    """One CSV row; the fields are the columns, in order, and unset fields serialize empty."""
+
+    protocol: str
+    n: int
+    m: int
+    p: float
+    seed: int
+    r12: float | None = None
+    r13: float | None = None
+    r23: float | None = None
+    rho: float | None = None
+    eps1: float | None = None
+    eps2: float | None = None
+    eps3: float | None = None
+    eps4: float | None = None
+    p_err_exact: float | None = None
+    p_err_mc: float | None = None
+    mc_ci: float | None = None
+    in_region: bool | None = None
+
+    def csv_line(self) -> str:
+        def fmt(value) -> str:
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return repr(value)
+            return str(value)
+
+        return ",".join(fmt(getattr(self, col)) for col in CSV_COLUMNS)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
+# The per-instance columns a mean row averages; a point's rows share the others.
+_MEAN_COLUMNS = ("eps1", "eps2", "eps3", "eps4", "p_err_exact", "p_err_mc", "mc_ci")
+
 # The modes each instance command accepts, its default first; leakage takes no --mode.
 _MODES = {
     "simulate": ("both", "exact", "monte-carlo"),
@@ -34,10 +73,6 @@ _MODES = {
     "sweep": ("exact", "monte-carlo", "both", "leakage"),
 }
 _DEFAULT_TRIALS = 100000
-
-
-class UsageError(Exception):
-    """Bad or inconsistent command-line input."""
 
 
 def derive_run_seed(master: int, protocol_id: str, n: int, m: int, p: float, index: int) -> int:
@@ -69,13 +104,13 @@ def _cast(key: str, value, kind):
                 return int(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise UsageError(f"bad value for --{key}: {value!r} (need {_KIND_NAMES[kind]})")
+    raise ConfigurationError(f"bad value for --{key}: {value!r} (need {_KIND_NAMES[kind]})")
 
 
 def _req(raw: dict, key: str, kind):
     value = raw.get(key)
     if value is None:
-        raise UsageError(f"missing required option --{key}")
+        raise ConfigurationError(f"missing required option --{key}")
     return _cast(key, value, kind)
 
 
@@ -88,13 +123,13 @@ def _list(raw: dict, key: str, kind) -> list:
     """A required non-empty list: a comma-separated string or a JSON list."""
     value = raw.get(key)
     if value is None:
-        raise UsageError(f"missing required option --{key}")
+        raise ConfigurationError(f"missing required option --{key}")
     if isinstance(value, str):
         value = [part.strip() for part in value.split(",") if part.strip()]
     elif not isinstance(value, (list, tuple)):
         value = [value]
     if not value:
-        raise UsageError(f"--{key} list is empty")
+        raise ConfigurationError(f"--{key} list is empty")
     return [_cast(key, v, kind) for v in value]
 
 
@@ -107,7 +142,7 @@ def _check(key: str, values: list, ok, need: str) -> list:
     """`values` of option --key, each of which must pass ok(); `need` says what ok() asks."""
     for value in values:
         if not ok(value):
-            raise UsageError(f"--{key} must {need}, got {value!r}")
+            raise ConfigurationError(f"--{key} must {need}, got {value!r}")
     return values
 
 
@@ -129,17 +164,16 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
             with open(args.config) as fh:
                 doc = json.load(fh)
         except OSError as e:
-            raise UsageError(f"cannot read config file {args.config!r}: {e.strerror or e}")
+            raise ConfigurationError(f"cannot read config file {args.config!r}: {e.strerror or e}")
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise UsageError(f"config file {args.config!r} is not valid JSON: {e}")
+            raise ConfigurationError(f"config file {args.config!r} is not valid JSON: {e}")
         if not isinstance(doc, dict):
-            raise UsageError(f"config file must hold a JSON object, got {type(doc).__name__}")
+            raise ConfigurationError(f"config file must hold a JSON object, got {type(doc).__name__}")
         for key, value in doc.items():
-            name = key.replace("-", "_")
-            if name not in keys:
-                raise UsageError(f"config key {key!r} is not an option of this command;"
-                                 f" it takes {', '.join(keys)}")
-            raw[name] = value
+            if key not in keys:
+                raise ConfigurationError(f"config key {key!r} is not an option of this command;"
+                                         f" it takes {', '.join(keys)}")
+            raw[key] = value
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
@@ -150,9 +184,9 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 def _quad(raw: dict) -> tuple[float, float, float, float]:
     parts = _list(raw, "quad", float)
     if len(parts) != 4:
-        raise UsageError(f"--quad needs four comma-separated rates, got {len(parts)}")
+        raise ConfigurationError(f"--quad needs four comma-separated rates, got {len(parts)}")
     if any(v < 0.0 for v in parts):
-        raise UsageError("rates cannot be negative")
+        raise ConfigurationError("rates cannot be negative")
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -188,27 +222,22 @@ def _write(text: str, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as e:
-        raise UsageError(f"cannot write --out file {out!r}: {e.strerror or e}")
+        raise ConfigurationError(f"cannot write --out file {out!r}: {e.strerror or e}")
 
 
 def _emit_rows(rows: list[ReportRow], out: str | None) -> None:
-    lines = [CSV_VERSION_COMMENT, csv_header()] + [r.csv_line() for r in rows]
+    lines = [CSV_VERSION_COMMENT, ",".join(CSV_COLUMNS)] + [r.csv_line() for r in rows]
     _write("\n".join(lines) + "\n", out)
 
 
 def _aggregate_rows(groups: list[list[ReportRow]], master_seed: int) -> list[ReportRow]:
+    """One mean row per point: its first row under the master seed, with each
+    per-instance column averaged, or unset when any row leaves it unset."""
     out = []
-    mean_fields = ("eps1", "eps2", "eps3", "eps4", "p_err_exact", "p_err_mc", "mc_ci")
     for group in groups:
-        first = group[0]
-        row = ReportRow(protocol=first.protocol, n=first.n, m=first.m, p=first.p, seed=master_seed)
-        row.r12, row.r13, row.r23, row.rho = first.r12, first.r13, first.r23, first.rho
-        for name in mean_fields:
-            values = [getattr(r, name) for r in group]
-            if all(v is not None for v in values):
-                setattr(row, name, fmean(values))
-        row.in_region = first.in_region
-        out.append(row)
+        columns = {name: [getattr(row, name) for row in group] for name in _MEAN_COLUMNS}
+        means = {name: None if None in values else fmean(values) for name, values in columns.items()}
+        out.append(replace(group[0], seed=master_seed, **means))
     return out
 
 
@@ -240,9 +269,9 @@ def _instance_rows(raw: dict, command: str) -> list[ReportRow]:
     coded = [proto for proto in protocols if PROTOCOLS[proto].coded]
     has_m, has_rate = raw.get("m") is not None, raw.get("rate") is not None
     if coded and has_m == has_rate:
-        raise UsageError(f"{coded[0]} needs exactly one of --m or --rate")
+        raise ConfigurationError(f"{coded[0]} needs exactly one of --m or --rate")
     if not coded and (has_m or has_rate):
-        raise UsageError(f"{', '.join(protocols)} takes neither --m nor --rate")
+        raise ConfigurationError(f"{', '.join(protocols)} takes neither --m nor --rate")
     sizes: dict[int, list[int]] = {}  # the m of each n, for the coded protocols
     if has_m:
         ms = values("m", int)
@@ -271,7 +300,7 @@ def _quad_rows(raw: dict) -> list[ReportRow]:
     stray = [f"--{key}" for key in _KEYS["sweep"]
              if key not in _KEYS["region"] and raw.get(key) is not None]
     if stray:
-        raise UsageError(f"--quad takes only --p and --out, not {', '.join(stray)}")
+        raise ConfigurationError(f"--quad takes only --p and --out, not {', '.join(stray)}")
     quad = _quad(raw)
     rows = []
     for p in _flip_rates(raw, sweep=True):
@@ -360,7 +389,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ContractViolation, ConfigurationError) as e:
+    except (ContractViolation, ConfigurationError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

@@ -146,7 +146,7 @@ class LinearCode:
         return f"LinearCode(n={self.n}, m={self.m}, seed={self.seed})"
 
 
-def code_from_matrix(matrix: Gf2Matrix, seed: int | None = None) -> LinearCode:
+def code_from_matrix(matrix: Gf2Matrix) -> LinearCode:
     """Wrap an explicit full-rank parity matrix as a decodable code."""
     m, n = matrix.m, matrix.cols
     if m > n:
@@ -155,7 +155,7 @@ def code_from_matrix(matrix: Gf2Matrix, seed: int | None = None) -> LinearCode:
         raise CapacityError(f"leader table needs 2^{m} entries, guard is 2^{TABLE_GUARD_BITS}")
     if matrix.rank() != m:
         raise ContractViolation(f"parity matrix rank {matrix.rank()} < m={m}")
-    return LinearCode(n=n, m=m, matrix=matrix, seed=seed, leaders=_leader_table(matrix))
+    return LinearCode(n=n, m=m, matrix=matrix, seed=None, leaders=_leader_table(matrix))
 
 
 def build_code(n: int, m: int, seed: int) -> LinearCode:

@@ -12,4 +12,4 @@ class CapacityError(RuntimeError):
 
 
 class ConfigurationError(ValueError):
-    """An unknown identifier or inconsistent configuration was supplied."""
+    """Bad, unknown or inconsistent configuration: an identifier, an option or a file."""

@@ -96,15 +96,8 @@ class Message:
     sender: PartyId
     receiver: PartyId
     payload: Gf2Vector
-    declared_length: int = -1
 
     def __post_init__(self):
-        if self.declared_length == -1:
-            object.__setattr__(self, "declared_length", self.payload.n)
-        elif self.declared_length != self.payload.n:
-            raise ContractViolation(
-                f"declared length {self.declared_length} != payload length {self.payload.n}"
-            )
         if self.sender == self.receiver:
             raise ContractViolation("a party cannot message itself")
 
@@ -115,13 +108,6 @@ _NO_PAYLOAD = Gf2Vector.zeros(0)
 @dataclass(frozen=True)
 class Transcript:
     messages: tuple[Message, ...]
-
-    def link_messages(self, a: PartyId, b: PartyId) -> tuple[Message, ...]:
-        pair = {a, b}
-        return tuple(m for m in self.messages if {m.sender, m.receiver} == pair)
-
-    def link_length(self, a: PartyId, b: PartyId) -> int:
-        return sum(m.declared_length for m in self.link_messages(a, b))
 
     def link_payload(self, a: PartyId, b: PartyId) -> Gf2Vector:
         """Payload bits of one link concatenated in schedule order."""
@@ -137,15 +123,15 @@ class Transcript:
 
     @property
     def l12(self) -> int:
-        return self.link_length(PartyId.ALICE, PartyId.BOB)
+        return self.link_payload(PartyId.ALICE, PartyId.BOB).n
 
     @property
     def l13(self) -> int:
-        return self.link_length(PartyId.ALICE, PartyId.CHARLIE)
+        return self.link_payload(PartyId.ALICE, PartyId.CHARLIE).n
 
     @property
     def l23(self) -> int:
-        return self.link_length(PartyId.BOB, PartyId.CHARLIE)
+        return self.link_payload(PartyId.BOB, PartyId.CHARLIE).n
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import securesum
-from securesum.analysis import CSV_COLUMNS
-from securesum.cli import CSV_VERSION_COMMENT, derive_run_seed, main
+from securesum.cli import (
+    CSV_COLUMNS,
+    CSV_VERSION_COMMENT,
+    ReportRow,
+    _aggregate_rows,
+    derive_run_seed,
+    main,
+)
 from securesum.protocol import PROTOCOL_IDS
 from securesum.source import binary_entropy
 
@@ -462,6 +468,35 @@ def test_config_file_supplies_unset_options(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([1, 2, 3]))
     assert main(["simulate", "--config", str(bad)]) == 2
+
+
+def test_sweep_config_takes_a_scalar_for_a_list_option(tmp_path):
+    # A JSON scalar is a one-entry list, so {"n": 6} runs what --n 6 runs.
+    cfg = tmp_path / "n.json"
+    cfg.write_text(json.dumps({"n": 6}))
+    point = ["sweep", "--protocol", "secure-km", "--m", "3", "--p", "0.1", "--seed", "5"]
+    from_flag = _run_main(point + ["--n", "6"])
+    assert from_flag[0] == 0
+    assert _run_main(point + ["--config", str(cfg)]) == from_flag
+
+
+def test_sweep_without_n_is_usage_error():
+    rc, out, err = _run_main(["sweep", "--protocol", "secure-km", "--m", "3", "--p", "0.1"])
+    assert (rc, out) == (2, "")
+    assert err == "usage error: missing required option --n\n"
+
+
+def test_csv_columns_are_the_documented_schema():
+    assert ",".join(CSV_COLUMNS) == (
+        "protocol,n,m,p,seed,r12,r13,r23,rho,eps1,eps2,eps3,eps4,p_err_exact,p_err_mc,mc_ci,in_region"
+    )
+
+
+def test_mean_row_leaves_a_column_unset_when_any_row_does():
+    rows = [ReportRow("plain-km", 4, 2, 0.1, seed, p_err_exact=e, p_err_mc=mc)
+            for seed, e, mc in ((1, 0.25, 0.5), (2, 0.75, None))]
+    (mean,) = _aggregate_rows([rows], master_seed=7)
+    assert mean == ReportRow("plain-km", 4, 2, 0.1, 7, p_err_exact=0.5)
 
 
 def test_p_parsing_keeps_digits(tmp_path):

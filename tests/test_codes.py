@@ -229,6 +229,15 @@ def test_rank_deficient_matrix_rejected():
         code_from_matrix(Gf2Matrix.from_rows([[1, 1, 0], [1, 1, 0]]))
 
 
+def test_code_from_matrix_checks_shape_before_rank():
+    with pytest.raises(ContractViolation, match="m <= n"):
+        code_from_matrix(Gf2Matrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+    # Full rank, but its leader table would exceed the 2^24 guard: refused before any search.
+    identity = Gf2Matrix.from_rows([[int(i == j) for j in range(25)] for i in range(25)])
+    with pytest.raises(CapacityError, match="2\\^25"):
+        code_from_matrix(identity)
+
+
 def test_capacity_guards():
     with pytest.raises(CapacityError, match="2\\^26"):
         build_code(30, 26, seed=0)

@@ -148,7 +148,7 @@ def test_framing_is_input_independent():
         for _ in range(25):
             out = run_with_sampling(protocol, params, code=arg, rng=rng)
             got = [
-                (m.round, int(m.sender), int(m.receiver), m.declared_length)
+                (m.round, int(m.sender), int(m.receiver), m.payload.n)
                 for m in out.transcript.messages
             ]
             assert got == shapes[protocol]
@@ -226,10 +226,6 @@ def test_run_dimension_validation():
 def test_message_validation():
     with pytest.raises(ContractViolation):
         Message(1, PartyId.ALICE, PartyId.ALICE, Gf2Vector.zeros(2))
-    with pytest.raises(ContractViolation):
-        Message(1, PartyId.ALICE, PartyId.BOB, Gf2Vector.zeros(2), declared_length=3)
-    msg = Message(1, PartyId.ALICE, PartyId.BOB, Gf2Vector.zeros(2))
-    assert msg.declared_length == 2
 
 
 def test_output_from_transcript_needs_code():
