@@ -350,9 +350,13 @@ def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) 
         widths={name: len(r) for name, r in rows.items()}, rows=rows, zhat=zhat,
         probs=ptable[np.bitwise_count(words)],
     )
-    atoms = ((i, _split(i, n, klen)) for i in _spread(1 << (2 * n + klen)))
+    # Atom indices have 2n + klen bits, up to 72, so they are split as Python ints.
+    atoms = [(i, _split(i, n, klen)) for i in _spread(1 << (2 * n + klen))]
+    x, y, k = (np.array(column, dtype=np.int64) for column in zip(*(xyk for _, xyk in atoms)))
+    evaluated = _evaluate(joint, x, y, k)
+    values = zip(*(column.tolist() for column in evaluated.values()))
     _check_replays(spec, code, n, klen, "affine atom",
-                   ((i, xyk, _evaluate(joint, *xyk)) for i, xyk in atoms))
+                   ((i, xyk, dict(zip(evaluated, v))) for (i, xyk), v in zip(atoms, values)))
     return joint
 
 
@@ -386,14 +390,25 @@ def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(u ^ v for u, v in zip(a, b, strict=True))
 
 
-def _evaluate(joint: AffineJoint, x: int, y: int, k: int) -> dict[str, int]:
-    """Every variable of the (x, y, k) atom, read off the affine description."""
-    n = joint.n
-    word = (x ^ y) | int(joint.zhat[x ^ y]) << n | x << 2 * n | k << 3 * n
-    return {
-        name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))
-        for name, rows in joint.rows.items()
-    }
+def _evaluate(joint: AffineJoint, x: np.ndarray, y: np.ndarray, k: np.ndarray) -> dict[str, np.ndarray]:
+    """Every variable at arrays of (x, y, k) atoms, read off the affine description.
+
+    A packed row has 4n bits, up to 96, so each row is split into its z, zhat,
+    x and k fields and ANDed with the atoms' fields; a variable bit is the
+    parity of what is left.
+    """
+    n, mask = joint.n, (1 << joint.n) - 1
+    z = x ^ y
+    word = np.stack([z, joint.zhat[z], x, k])
+    fields = np.array([[row >> shift & mask for shift in range(0, 4 * n, n)]
+                       for rows in joint.rows.values() for row in rows], dtype=np.int64)
+    bits = np.bitwise_count(np.bitwise_xor.reduce(fields[:, :, None] & word, axis=1)) & 1
+    out, lo = {}, 0
+    for name, rows in joint.rows.items():
+        shifts = np.arange(len(rows))[:, None]
+        out[name] = (bits[lo:lo + len(rows)].astype(np.int64) << shifts).sum(axis=0)
+        lo += len(rows)
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from itertools import chain
 from random import Random
 from statistics import fmean
@@ -360,6 +361,7 @@ _HELP = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="securesum",
@@ -367,11 +369,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, text in (
-        ("simulate", cmd_simulate, "error analysis of one protocol instance"),
-        ("leakage", cmd_leakage, "exact leakage and rate audit of one instance"),
-        ("sweep", cmd_sweep, "cartesian sweep over protocols, n, p, rates"),
-        ("region", cmd_region, "check a rate quadruple against the achievable region"),
+    for name, text in (
+        ("simulate", "error analysis of one protocol instance"),
+        ("leakage", "exact leakage and rate audit of one instance"),
+        ("sweep", "cartesian sweep over protocols, n, p, rates"),
+        ("region", "check a rate quadruple against the achievable region"),
     ):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="JSON file supplying any unset options")
@@ -381,14 +383,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help=_HELP[key])
             else:
                 sp.add_argument(f"--{key}", help=_HELP[key])
-        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up per call, so a cmd_* replaced on this module after the parser was built still runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ContractViolation, ConfigurationError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

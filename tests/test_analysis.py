@@ -478,6 +478,65 @@ def test_affine_engine_replay_catches_a_remapped_key(monkeypatch):
         affine_joint("secure-km", code, params)
 
 
+def test_affine_engine_replay_catches_a_corrupted_zhat_row(monkeypatch):
+    # The corruptions above touch only the x, z and k fields of a row.
+    n = 8
+    code = build_code(n, 6, seed=2)
+    honest = analysis._affine_rows
+
+    def corrupted(*args):
+        rows = honest(*args)
+        # bit 0 of zhat also reads zhat bit 1 (rows hold zhat at bits n..2n)
+        rows["zhat"] = (rows["zhat"][0] ^ 1 << (n + 1),) + rows["zhat"][1:]
+        return rows
+
+    monkeypatch.setattr(analysis, "_affine_rows", corrupted)
+    with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
+        affine_joint("secure-km", code, DsbsParams(p=0.2, n=n))
+
+
+def _scalar_evaluate(joint, x, y, k):
+    """Every variable of one (x, y, k) atom, one packed row at a time: the
+    reference for the batched `analysis._evaluate`."""
+    n = joint.n
+    word = (x ^ y) | int(joint.zhat[x ^ y]) << n | x << 2 * n | k << 3 * n
+    return {
+        name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))
+        for name, rows in joint.rows.items()
+    }
+
+
+def _assert_evaluation_matches_scalar(joint, x, y, k):
+    batched = {name: col.tolist() for name, col in analysis._evaluate(joint, x, y, k).items()}
+    scalar = [_scalar_evaluate(joint, *xyk) for xyk in zip(x.tolist(), y.tolist(), k.tolist())]
+    assert list(batched) == list(joint.rows)
+    for name, column in batched.items():
+        assert column == [atom[name] for atom in scalar], (joint.protocol, joint.n, joint.m, name)
+
+
+def test_batched_evaluation_matches_scalar_at_every_small_atom():
+    for protocol, n, m in _small_instances():
+        code = None if protocol == "zero-error-otp" else build_code(n, m, seed=97 * n + m)
+        joint = affine_joint(protocol, code, DsbsParams(p=0.25, n=n))
+        klen = joint.widths["k"]
+        size = 1 << (2 * n + klen)
+        for lo in range(0, size, 4096):
+            index = np.arange(lo, min(lo + 4096, size), dtype=np.int64)
+            _assert_evaluation_matches_scalar(joint, *analysis._split(index, n, klen))
+
+
+def test_batched_evaluation_splits_rows_wider_than_64_bits():
+    # 4n > 64 at these sizes, so a packed row spans more than one int64.
+    for protocol, n, m in (("secure-km", 17, 9), ("plain-km", 20, 12), ("zero-error-otp", 20, 20)):
+        code = None if protocol == "zero-error-otp" else build_code(n, m, seed=3)
+        joint = affine_joint(protocol, code, DsbsParams(p=0.1, n=n))
+        klen = joint.widths["k"]
+        atoms = [analysis._split(i, n, klen) for i in analysis._spread(1 << (2 * n + klen))]
+        assert len(atoms) == 64
+        _assert_evaluation_matches_scalar(
+            joint, *(np.array(column, dtype=np.int64) for column in zip(*atoms)))
+
+
 def test_affine_engine_guard_and_validation():
     with pytest.raises(CapacityError, match="2\\^25"):
         affine_joint("zero-error-otp", None, DsbsParams(p=0.1, n=25))

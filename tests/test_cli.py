@@ -18,6 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import securesum
+import securesum.cli as cli
 from securesum.cli import (
     CSV_COLUMNS,
     CSV_VERSION_COMMENT,
@@ -588,6 +589,58 @@ def test_console_script_on_path():
     assert proc.returncode == 2
     assert "usage error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_REGION = ["region", "--quad", "1,1,1,1", "--p", "0.25"]
+
+
+def _exit_and_streams(argv) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of main(argv), counting an argparse exit as its status."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    argvs = [
+        _REGION,
+        ["sweep", "--protocol", "secure-km,zero-error-otp", "--n", "4,5", "--m", "2",
+         "--p", "0.1,0.2", "--mode", "exact"],
+        ["simulate", "--n", "4", "--p", "0.1"],  # no --protocol: a usage error
+        ["region", "--quad", "1,1,1,1", "--bogus", "1"],  # an argparse error
+    ]
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(_exit_and_streams(argv))
+    cli._build_parser.cache_clear()
+    together = [_exit_and_streams(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert together == alone
+    assert [rc for rc, _, _ in together] == [0, 0, 2, 2]
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch):
+    # perfbench/tracing.py replaces cli.cmd_* between passes of one process.
+    assert _exit_and_streams(_REGION)[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_region", lambda args: calls.append(args.quad) or 0)
+    assert main(_REGION) == 0
+    assert calls == ["1,1,1,1"]
+
+
+def test_argparse_error_on_a_later_call_exits_2():
+    assert _exit_and_streams(_REGION)[0] == 0
+    for argv in (["region", "--nope"], ["bogus"], ["sweep", "--n"]):
+        rc, out, err = _exit_and_streams(argv)
+        assert (rc, out) == (2, ""), argv
+        assert "error:" in err
+    rc, out, _ = _exit_and_streams(_REGION)
+    assert rc == 0 and "verdict=in-region" in out
 
 
 def test_benchmark_tracer_finds_every_wrapped_name():
