@@ -30,7 +30,7 @@ from .protocol import (
     check_instance,
     run_plain_km,
     run_secure_km,
-    run_with_sampling,
+    run_with_sampling,  # noqa: F401 - perfbench/tracing.py wraps the name in this module
     run_zero_error_otp,
 )
 from .source import DsbsParams, binary_entropy
@@ -71,11 +71,9 @@ _REPLAYS = 64
 # 2^64 / golden ratio: a stride that spreads samples over every bit of an index.
 _GOLDEN_64 = 0x9E3779B97F4A7C15
 
-# Raw 32-bit generator outputs drawn per Monte Carlo batch, which bounds the
-# batch's memory whatever the trial count or block length.
-_MC_BATCH_WORDS = 1 << 13
-# Leading trials per Monte Carlo run drawn again through `run_with_sampling`.
-_MC_PREFIX = 8
+# Generator bytes drawn per Monte Carlo batch, which bounds the batch's memory
+# whatever the trial count or block length.
+_MC_BATCH_BYTES = 1 << 15
 
 
 @dataclass(eq=False)
@@ -528,15 +526,16 @@ def monte_carlo_error(
     trials: int,
     rng: Random,
 ) -> MonteCarloError:
-    """Fraction of incorrect runs over fresh samples, with a 3-sigma half-width.
+    """Fraction of incorrect runs over fresh samples, with a 3-sigma Wilson half-width.
 
-    The trials are the ones `trials` calls of `run_with_sampling` would draw
-    from `rng`, run in batches: each batch decodes x, the noise bits and the
-    key of every trial from the raw generator words those calls would consume,
-    so the error count and the final state of `rng` are the same. Every call
-    replays a spread sample of trials through the message-passing code and
-    draws the first trials again through `run_with_sampling`, so neither the
-    batch algebra nor the stream decode can drift from the protocols.
+    Trial t reads row t of the bytes drawn by `rng.randbytes`: x in 4·ceil(n/32)
+    bytes, one little-endian 64-bit word per noise bit, set when the word is
+    below ceil(p·2^64), then the key in 4·ceil(klen/32) bytes; x and the key
+    keep their low n and klen bits. A row is whole 32-bit words, so the batch
+    size never changes what a trial reads. Every call replays a spread sample of
+    trials through the message-passing code on inputs read from their row bytes
+    alone, so neither the batch algebra nor the batch decode can drift from the
+    protocols.
     """
     if trials < 1:
         raise ContractViolation(f"need at least one trial, got {trials}")
@@ -545,9 +544,8 @@ def monte_carlo_error(
     if rng is None:
         raise ContractViolation("an explicit rng is required")
     xwords = -(-n // 32)
-    # One trial draws getrandbits(n), n random() calls of two words each, then the key.
-    width = xwords + 2 * n + -(-klen // 32)
-    batch = max(1, _MC_BATCH_WORDS // width)
+    width = 4 * xwords + 8 * n + 4 * -(-klen // 32)
+    batch = max(1, _MC_BATCH_BYTES // width)
     if spec.coded:
         syndrome = partial(_batch_syndromes, _syndrome_tables(code.matrix.rows, n))
 
@@ -556,70 +554,60 @@ def monte_carlo_error(
             return code.leaders[synd].astype("<u8").view("<u4").reshape(len(synd), 2)[:, :xwords]
     else:
         syndrome = decode = _identity
-    # random() is (a >> 5 << 26 | b >> 6) / 2^53, so random() < p iff that integer < limit.
-    limit = math.ceil(params.p * 2.0**53)
+    limit = math.ceil(params.p * 2.0**64)
     replayed = _spread(trials)
-    picked = set(replayed).union(range(min(_MC_PREFIX, trials)))
-    prefix_rng = Random()
-    prefix_rng.setstate(rng.getstate())
 
     errors = 0
-    seen: dict[int, dict[str, int]] = {}
+    seen: dict[int, tuple] = {}
     for lo in range(0, trials, batch):
         count = min(batch, trials - lo)
-        raw = rng.getrandbits(32 * width * count).to_bytes(4 * width * count, "little")
-        x, z, k = _decode_trials(np.frombuffer(raw, dtype="<u4").reshape(count, width),
-                                 n, klen, limit)
+        raw = rng.randbytes(width * count)
+        x, z, k = _batch_inputs(np.frombuffer(raw, dtype=np.uint8).reshape(count, width),
+                                n, klen, limit)
         y = x ^ z
         # A coded protocol's syndromes, and so its key, are packed ints of m <= 24 bits.
         key = (k[:, 0].astype(np.int64) if spec.coded else k) if klen else 0
         m13, m23, zhat = _batch_run(syndrome, decode, x, y, key)
         wrong = (zhat != z).any(axis=1)
         errors += int(np.count_nonzero(wrong))
-        for i in [i for i in picked if lo <= i < lo + count]:
+        for i in [i for i in replayed if lo <= i < lo + count]:
             j = i - lo
-            seen[i] = _variables(*(_word(col, j) for col in (x, y, k, m13, m23, zhat)))
-            seen[i]["wrong"] = bool(wrong[j])
+            atom = _variables(*(_word(col, j) for col in (x, y, k, m13, m23, zhat)))
+            atom["wrong"] = bool(wrong[j])
+            seen[i] = (_trial_inputs(raw[j * width : (j + 1) * width], n, klen, limit), atom)
 
-    # A trial's inputs are the words decoded from its draw; the redraw below checks the decode.
-    _check_replays(spec, code, n, klen, "Monte Carlo trial", (
-        (i, (seen[i]["x"], seen[i]["y"], seen[i]["k"]), seen[i]) for i in replayed))
-    for i in range(min(_MC_PREFIX, trials)):
-        drawn = _outputs(run_with_sampling(protocol_id, params, code, prefix_rng))
-        if drawn != {name: seen[i][name] for name in drawn}:
-            raise RuntimeError(f"Monte Carlo trial {i} disagrees with run_with_sampling")
-
+    _check_replays(spec, code, n, klen, "Monte Carlo trial", ((i, *seen[i]) for i in replayed))
+    # The larger distance from p_hat to an end of its z = 3 Wilson score interval.
     p_hat = errors / trials
-    half_width = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    half_width = (3.0 * math.sqrt(errors * (trials - errors) / trials + 2.25)
+                  + 4.5 * abs(1.0 - 2.0 * p_hat)) / (trials + 9.0)
     return MonteCarloError(trials=trials, errors=errors, p_err=p_hat, half_width_3sigma=half_width)
 
 
-def _decode_trials(words: np.ndarray, n: int, klen: int, limit: int):
-    """(x, z, k) of the trials whose raw generator words are the rows of `words`.
-
-    Each is returned as little-endian word rows of 32-bit words, the layout
-    getrandbits uses; noise bit i is set when the i-th random() value,
-    scaled by 2^53, lies below `limit`.
-    """
-    xwords = -(-n // 32)
-    a = words[:, xwords : xwords + 2 * n : 2] >> 5
-    b = words[:, xwords + 1 : xwords + 2 * n : 2] >> 6
-    flips = (a.astype(np.uint64) << 26 | b) < limit
-    noise = np.zeros((len(words), 4 * xwords), dtype=np.uint8)
+def _batch_inputs(rows: np.ndarray, n: int, klen: int, limit: int):
+    """(x, z, k) of the trials whose bytes are the rows of `rows`, as little-endian
+    word rows of 32-bit words."""
+    xbytes = 4 * -(-n // 32)
+    flips = rows[:, xbytes : xbytes + 8 * n].view("<u8") < np.uint64(limit)
+    noise = np.zeros((len(rows), xbytes), dtype=np.uint8)
     noise[:, : -(-n // 8)] = np.packbits(flips, axis=1, bitorder="little")
-    return (_drawn_bits(words[:, :xwords], n), noise.view("<u4"),
-            _drawn_bits(words[:, xwords + 2 * n :], klen))
+    return _low_bits(rows[:, :xbytes], n), noise.view("<u4"), _low_bits(rows[:, xbytes + 8 * n :], klen)
 
 
-def _drawn_bits(words: np.ndarray, nbits: int) -> np.ndarray:
-    """What getrandbits(nbits) returns from these raw words, as little-endian word rows.
+def _low_bits(octets: np.ndarray, nbits: int) -> np.ndarray:
+    """Byte rows as little-endian 32-bit word rows that keep their low `nbits` bits."""
+    words = octets.copy().view("<u4")
+    words[:, nbits // 32 :] &= np.uint32((1 << nbits % 32) - 1)
+    return words
 
-    Every word is used whole except the last, which keeps its top nbits % 32 bits.
-    """
-    out = words.copy()
-    if nbits % 32:
-        out[:, -1] >>= 32 - nbits % 32
-    return out
+
+def _trial_inputs(row: bytes, n: int, klen: int, limit: int) -> tuple[int, int, int]:
+    """(x, y, k) of one trial from its row of generator bytes, apart from the batch decode."""
+    xbytes = 4 * -(-n // 32)
+    x = int.from_bytes(row[:xbytes], "little") & ((1 << n) - 1)
+    z = sum(1 << i for i in range(n)
+            if int.from_bytes(row[xbytes + 8 * i : xbytes + 8 * i + 8], "little") < limit)
+    return x, x ^ z, int.from_bytes(row[xbytes + 8 * n :], "little") & ((1 << klen) - 1)
 
 
 def _syndrome_tables(rows: tuple[int, ...], n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import CapacityError, ConfigurationError, ContractViolation
 from .protocol import PROTOCOL_IDS, PROTOCOLS, nominal_rates
 from .source import DsbsParams, binary_entropy
 
-CSV_VERSION_COMMENT = "# securesum-csv v1"
+CSV_VERSION_COMMENT = "# securesum-csv v2"
 
 
 @dataclass
@@ -77,8 +77,8 @@ _DEFAULT_TRIALS = 100000
 
 
 def derive_run_seed(master: int, protocol_id: str, n: int, m: int, p: float, index: int) -> int:
-    """Stable per-instance seed; builtin hash() is salted, so use sha256."""
-    text = f"{master}|{protocol_id}|{n}|{m}|{p:.12g}|{index}"
+    """Stable per-instance seed from sha256 (builtin hash() is salted); repr(p) keeps every digit."""
+    text = f"{master}|{protocol_id}|{n}|{m}|{p!r}|{index}"
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import struct
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -24,7 +26,7 @@ from securesum.cli import ReportRow
 from securesum.codes import build_code, code_from_matrix, exact_error_probability
 from securesum.errors import CapacityError, ConfigurationError, ContractViolation
 from securesum.gf2 import Gf2Matrix, Gf2Vector
-from securesum.protocol import run_with_sampling
+from securesum.protocol import check_instance, run_plain_km, run_secure_km, run_zero_error_otp
 from securesum.source import DsbsParams, binary_entropy, pair_probability
 
 FIXTURE = code_from_matrix(Gf2Matrix.from_rows([[1, 1, 0], [0, 1, 1]]))
@@ -262,7 +264,8 @@ def test_monte_carlo_against_exact():
     assert mc.trials == 20000
     assert mc.errors == round(mc.p_err * 20000)
     mc0 = monte_carlo_error("zero-error-otp", None, DsbsParams(p=0.3, n=4), 500, Random(1))
-    assert mc0.p_err == 0.0 and mc0.half_width_3sigma == 0.0
+    # No error seen: the z = 3 Wilson interval is [0, 9/(trials + 9)].
+    assert mc0.p_err == 0.0 and mc0.half_width_3sigma == 9 / 509
     with pytest.raises(ContractViolation):
         monte_carlo_error("secure-km", FIXTURE, DsbsParams(p=p, n=3), 0, Random(0))
     with pytest.raises(ContractViolation, match="explicit rng"):
@@ -277,41 +280,70 @@ def test_monte_carlo_against_exact():
         monte_carlo_error("secure-km", None, DsbsParams(p=p, n=3), 10, Random(0))
 
 
-def _scalar_monte_carlo(protocol_id, code, params, trials, rng):
-    """The per-trial loop the batched kernel replaced: (errors, 3-sigma half-width)."""
-    errors = sum(not run_with_sampling(protocol_id, params, code, rng).correct
-                 for _ in range(trials))
-    p_hat = errors / trials
-    return errors, 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+def _row_bytes(n, klen):
+    """Bytes of one trial: x in whole 32-bit words, a 64-bit word per noise bit, the key."""
+    return 4 * -(-n // 32) + 8 * n + 4 * -(-klen // 32)
 
 
-def _trials_per_batch(protocol_id, n, m):
-    klen = {"secure-km": m, "plain-km": 0, "zero-error-otp": n}[protocol_id]
-    width = -(-n // 32) + 2 * n + -(-klen // 32)
-    return max(1, analysis._MC_BATCH_WORDS // width)
+def _reference_monte_carlo(protocol_id, code, params, trials, rng):
+    """Errors of a per-trial loop over the documented layout: one randbytes row per
+    trial, read as x, the noise words and the key, then run by the protocol runners."""
+    n = params.n
+    _, _, klen = check_instance(protocol_id, code, n)
+    xbytes = 4 * -(-n // 32)
+    limit = math.ceil(Fraction(params.p) * 2**64)
+    errors = 0
+    for _ in range(trials):
+        row = rng.randbytes(_row_bytes(n, klen))
+        x = int.from_bytes(row[:xbytes], "little") % 2**n
+        noise = struct.unpack_from(f"<{n}Q", row, xbytes)
+        z = sum(2**i for i, word in enumerate(noise) if word < limit)
+        k = int.from_bytes(row[xbytes + 8 * n :], "little") % 2**klen
+        xv, yv, kv = Gf2Vector(x, n), Gf2Vector(x ^ z, n), Gf2Vector(k, klen)
+        if protocol_id == "secure-km":
+            out = run_secure_km(code, xv, yv, kv)
+        elif protocol_id == "plain-km":
+            out = run_plain_km(code, xv, yv)
+        else:
+            out = run_zero_error_otp(xv, yv, kv)
+        errors += not out.correct
+    return errors
 
 
-def test_batched_monte_carlo_matches_scalar_stream():
+def _wilson_half_width(errors, trials, z=3.0):
+    """The larger distance from errors/trials to an end of its Wilson score interval."""
+    p_hat, zz = errors / trials, z * z
+    center = (p_hat + zz / (2 * trials)) / (1 + zz / trials)
+    half = z / (1 + zz / trials) * math.sqrt(p_hat * (1 - p_hat) / trials + zz / (4 * trials**2))
+    return max(p_hat - (center - half), center + half - p_hat)
+
+
+def test_batched_monte_carlo_matches_per_trial_reference(monkeypatch):
     cases = [(proto, n, m) for proto in ("secure-km", "plain-km")
              for n, m in ((1, 1), (5, 0), (8, 5), (16, 12), (32, 16), (33, 0), (40, 20))]
     cases += [("zero-error-otp", n, n) for n in (1, 5, 8, 16, 32, 33, 40, 70)]
+    assert len(cases) == 22
     for i, (proto, n, m) in enumerate(cases):
         code = None if proto == "zero-error-otp" else build_code(n, m, seed=i)
-        batch = _trials_per_batch(proto, n, m)
+        batch = analysis._MC_BATCH_BYTES // _row_bytes(n, 0 if proto == "plain-km" else m)
         for p in (0.0, 0.5, 0.07):
             for trials in (1, batch - 1, batch + 1, 1000):
                 if trials < 1:
                     continue
-                rng, ref = Random(1000 * i + trials), Random(1000 * i + trials)
-                params = DsbsParams(p=p, n=n)
-                mc = monte_carlo_error(proto, code, params, trials, rng)
-                errors, half_width = _scalar_monte_carlo(proto, code, params, trials, ref)
-                case = (proto, n, m, p, trials)
-                assert mc.trials == trials, case
-                assert mc.errors == errors, case
-                assert mc.p_err == errors / trials, case
-                assert mc.half_width_3sigma == half_width, case
-                assert rng.getstate() == ref.getstate(), case
+                params, case = DsbsParams(p=p, n=n), (proto, n, m, p, trials)
+                ref = Random(1000 * i + trials)
+                errors = _reference_monte_carlo(proto, code, params, trials, ref)
+                for bound in (analysis._MC_BATCH_BYTES, 1):
+                    rng = Random(1000 * i + trials)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(analysis, "_MC_BATCH_BYTES", bound)
+                        mc = monte_carlo_error(proto, code, params, trials, rng)
+                    assert mc.trials == trials, case
+                    assert mc.errors == errors, case
+                    assert mc.p_err == errors / trials, case
+                    assert mc.half_width_3sigma == pytest.approx(
+                        _wilson_half_width(errors, trials), rel=1e-12, abs=1e-15), case
+                    assert rng.getstate() == ref.getstate(), (case, bound)
 
 
 def test_monte_carlo_self_checks_catch_faults(monkeypatch):
@@ -323,11 +355,18 @@ def test_monte_carlo_self_checks_catch_faults(monkeypatch):
         patch.setattr(analysis, "_syndrome_tables", lambda rows, n: tables(rows[:-1], n))
         with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
             monte_carlo_error("plain-km", code, params, 500, Random(1))
-    drawn = analysis._drawn_bits
+    inputs = analysis._batch_inputs
+
+    def short_noise(rows, n, klen, limit):
+        x, z, k = inputs(rows, n, klen, limit)
+        z[:, (n - 1) // 32] &= np.uint32((1 << (n - 1) % 32) - 1)  # clears bit n - 1
+        return x, z, k
+
     with monkeypatch.context() as patch:
-        # x decoded one bit short: self-consistent, so only the fresh draws catch it.
-        patch.setattr(analysis, "_drawn_bits", lambda words, nbits: drawn(words, nbits) >> 1)
-        with pytest.raises(RuntimeError, match="disagrees with run_with_sampling"):
+        # Noise packed one bit short: the batch stays self-consistent, so only the
+        # replays' own reading of the row bytes catches it.
+        patch.setattr(analysis, "_batch_inputs", short_noise)
+        with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
             monte_carlo_error("secure-km", code, params, 500, Random(1))
 
 
@@ -359,8 +398,7 @@ def test_enumeration_guard():
 
 def test_enumeration_replay_check_varies_every_input(monkeypatch):
     # Every batch engine's self-check replays 64 atoms or trials, spread over
-    # x, y and k alike. The Monte Carlo redraw runs through the protocol
-    # module's own runner, so it is not recorded here.
+    # x, y and k alike.
     seen = []
     honest = analysis.run_secure_km
 

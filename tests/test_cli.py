@@ -538,8 +538,29 @@ def test_seed_derivation_is_stable_and_spread():
         derive_run_seed(0, "secure-km", 7, 3, 0.1, 0),
         derive_run_seed(0, "secure-km", 6, 4, 0.1, 0),
         derive_run_seed(0, "secure-km", 6, 3, 0.2, 0),
+        # Equal to 0.1 in 12 significant digits.
+        derive_run_seed(0, "secure-km", 6, 3, 0.1 + 1e-13, 0),
     }
-    assert a not in others and len(others) == 6
+    assert a not in others and len(others) == 7
+
+
+def test_simulate_leaves_numpy_random_unimported(tmp_path):
+    # Monte Carlo draws from random.Random; numpy.random would add its import
+    # time and memory to every run.
+    src_root = str(Path(securesum.__file__).resolve().parents[1])
+    script = (
+        "import sys, securesum.cli as cli\n"
+        "rc = cli.main(['simulate', '--protocol', 'secure-km', '--n', '8', '--m', '5',"
+        " '--p', '0.1', '--mode', 'both', '--trials', '2000', '--out', 'out.csv'])\n"
+        "print(rc, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert parse_rows((tmp_path / "out.csv").read_text())[0]["p_err_mc"] != ""
 
 
 def test_installed_entry_point(tmp_path):
