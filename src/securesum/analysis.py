@@ -23,10 +23,11 @@ from .codes import ENUMERATION_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
 from .gf2 import Gf2Vector, echelon, span_table
 from .protocol import (
+    ALICE,
+    BOB,
+    CHARLIE,
     PROTOCOLS,
-    PartyId,
     ProtocolSpec,
-    RunOutcome,
     check_instance,
     run_plain_km,
     run_secure_km,
@@ -290,19 +291,10 @@ def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
         out = run_secure_km(code, xv, yv, kv)
     else:
         out = run_plain_km(code, xv, yv)
-    return {"x": x, "y": y, "z": x ^ y, "k": k, **_outputs(out)}
-
-
-def _outputs(out: RunOutcome) -> dict[str, int]:
-    """The three link payloads, the decoded sum and the verdict of one run."""
-    t = out.transcript
-    return {
-        "m12": t.link_payload(PartyId.ALICE, PartyId.BOB).bits,
-        "m13": t.link_payload(PartyId.ALICE, PartyId.CHARLIE).bits,
-        "m23": t.link_payload(PartyId.BOB, PartyId.CHARLIE).bits,
-        "zhat": out.z_hat.bits,
-        "wrong": not out.correct,
-    }
+    link = out.transcript.link_payload
+    return {"x": x, "y": y, "z": x ^ y, "k": k, "m12": link(ALICE, BOB).bits,
+            "m13": link(ALICE, CHARLIE).bits, "m23": link(BOB, CHARLIE).bits,
+            "zhat": out.z_hat.bits, "wrong": not out.correct}
 
 
 def _spread(size: int) -> list[int]:

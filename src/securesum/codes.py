@@ -130,7 +130,7 @@ class LinearCode:
     def decode(self, synd: Gf2Vector) -> Gf2Vector:
         if synd.n != self.m:
             raise ContractViolation(f"syndrome must have length {self.m}, got {synd.n}")
-        return Gf2Vector(int(self.leaders[synd.bits]), self.n)
+        return Gf2Vector(self.leaders.item(synd.bits), self.n)
 
     def syndrome_table(self) -> np.ndarray:
         """Cached packed syndrome of every word; 2**n entries."""

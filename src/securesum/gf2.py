@@ -17,18 +17,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gf2Vector:
     """Immutable bit vector; bit i of `bits` is symbol i."""
 
     bits: int
     n: int
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ContractViolation(f"vector length must be non-negative, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ContractViolation(f"value {self.bits:#x} does not fit in {self.n} bits")
+    def __init__(self, bits: int, n: int):
+        if n < 0 or bits < 0 or bits >> n:
+            raise ContractViolation(f"vector length must be non-negative, got {n}" if n < 0
+                                    else f"value {bits:#x} does not fit in {n} bits")
+        _set_bits(self, bits)
+        _set_n(self, n)
 
     @classmethod
     def from_bits(cls, values: Iterable[int]) -> "Gf2Vector":
@@ -81,6 +82,9 @@ class Gf2Vector:
         return f"Gf2Vector('{self.to_string()}')"
 
 
+_set_bits, _set_n = Gf2Vector.bits.__set__, Gf2Vector.n.__set__  # write-once, past the frozen __setattr__
+
+
 @dataclass(frozen=True, slots=True)
 class Gf2Matrix:
     """Immutable matrix; rows are packed words, bit j of a row is column j."""
@@ -131,7 +135,7 @@ class Gf2Matrix:
         word = 0
         for i, row in enumerate(self.rows):
             word |= ((row & vec.bits).bit_count() & 1) << i
-        return Gf2Vector(word, self.m)
+        return Gf2Vector(word, len(self.rows))
 
     def rank(self) -> int:
         return len(echelon(self.rows))

@@ -8,10 +8,10 @@ the messages it has already received, so a transcript can be replayed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 from random import Random
+from typing import NamedTuple
 
 from .codes import LinearCode
 from .errors import ConfigurationError, ContractViolation
@@ -90,55 +90,59 @@ class PartyId(IntEnum):
     CHARLIE = 3
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    round: int
-    sender: PartyId
-    receiver: PartyId
-    payload: Gf2Vector
+ALICE, BOB, CHARLIE = PartyId  # read once: on Python 3.11 enum class attributes are slow
 
-    def __post_init__(self):
-        if self.sender == self.receiver:
+
+class Message(NamedTuple("Message", [("round", int), ("sender", PartyId), ("receiver", PartyId),
+                                     ("payload", Gf2Vector)])):
+    __slots__ = ()
+
+    def __new__(cls, round: int, sender: PartyId, receiver: PartyId, payload: Gf2Vector):
+        if sender == receiver:
             raise ContractViolation("a party cannot message itself")
+        return tuple.__new__(cls, (round, sender, receiver, payload))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # `_replace` builds through it: check there too
 
 
 _NO_PAYLOAD = Gf2Vector.zeros(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transcript:
     messages: tuple[Message, ...]
+    _links: dict[tuple[PartyId, PartyId], Gf2Vector] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        links = {}
+        for m in self.messages:
+            link = _link(m.sender, m.receiver)
+            links[link] = links[link].concat(m.payload) if link in links else m.payload
+        object.__setattr__(self, "_links", links)
 
     def link_payload(self, a: PartyId, b: PartyId) -> Gf2Vector:
         """Payload bits of one link concatenated in schedule order."""
-        return self._payloads.get(frozenset((a, b)), _NO_PAYLOAD)
-
-    @cached_property
-    def _payloads(self) -> dict[frozenset[PartyId], Gf2Vector]:
-        out: dict[frozenset[PartyId], Gf2Vector] = {}
-        for m in self.messages:
-            link = frozenset((m.sender, m.receiver))
-            out[link] = out.get(link, _NO_PAYLOAD).concat(m.payload)
-        return out
+        return self._links.get(_link(a, b), _NO_PAYLOAD)
 
     @property
     def l12(self) -> int:
-        return self.link_payload(PartyId.ALICE, PartyId.BOB).n
+        return self.link_payload(ALICE, BOB).n
 
     @property
     def l13(self) -> int:
-        return self.link_payload(PartyId.ALICE, PartyId.CHARLIE).n
+        return self.link_payload(ALICE, CHARLIE).n
 
     @property
     def l23(self) -> int:
-        return self.link_payload(PartyId.BOB, PartyId.CHARLIE).n
+        return self.link_payload(BOB, CHARLIE).n
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    z_hat: Gf2Vector
-    transcript: Transcript
-    correct: bool
+def _link(a: PartyId, b: PartyId) -> tuple[PartyId, PartyId]:
+    """The key of the link between two parties: the pair in increasing order."""
+    return (a, b) if a < b else (b, a)
+
+
+RunOutcome = NamedTuple("RunOutcome", [("z_hat", Gf2Vector), ("transcript", Transcript), ("correct", bool)])
 
 
 def nominal_rates(protocol_id: str, n: int, m: int | None) -> tuple[float, float, float, float]:
@@ -160,8 +164,8 @@ def output_from_transcript(protocol_id: str, transcript: Transcript, code: Linea
 
 def _charlie_output(transcript: Transcript, code: LinearCode | None) -> Gf2Vector:
     """The xor of Charlie's two link payloads, decoded when there is a code."""
-    m13 = transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE)
-    m23 = transcript.link_payload(PartyId.BOB, PartyId.CHARLIE)
+    m13 = transcript.link_payload(ALICE, CHARLIE)
+    m23 = transcript.link_payload(BOB, CHARLIE)
     return m13 ^ m23 if code is None else code.decode(m13 ^ m23)
 
 
@@ -171,10 +175,10 @@ def run_secure_km(code: LinearCode, x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) ->
         raise ContractViolation(f"inputs must have length {code.n}, got {x.n} and {y.n}")
     if k.n != code.m:
         raise ContractViolation(f"mask must have length {code.m}, got {k.n}")
-    m12 = Message(1, PartyId.ALICE, PartyId.BOB, k)
-    m13 = Message(1, PartyId.ALICE, PartyId.CHARLIE, k ^ code.syndrome(x))
+    m12 = Message(1, ALICE, BOB, k)
+    m13 = Message(1, ALICE, CHARLIE, k ^ code.syndrome(x))
     # Bob masks with the bits he received, not with Alice's local variable.
-    m23 = Message(2, PartyId.BOB, PartyId.CHARLIE, m12.payload ^ code.syndrome(y))
+    m23 = Message(2, BOB, CHARLIE, m12.payload ^ code.syndrome(y))
     transcript = Transcript((m12, m13, m23))
     z_hat = _charlie_output(transcript, code)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
@@ -184,8 +188,8 @@ def run_plain_km(code: LinearCode, x: Gf2Vector, y: Gf2Vector) -> RunOutcome:
     """Unmasked syndrome scheme; the 1-2 link stays silent."""
     if x.n != code.n or y.n != code.n:
         raise ContractViolation(f"inputs must have length {code.n}, got {x.n} and {y.n}")
-    m13 = Message(1, PartyId.ALICE, PartyId.CHARLIE, code.syndrome(x))
-    m23 = Message(1, PartyId.BOB, PartyId.CHARLIE, code.syndrome(y))
+    m13 = Message(1, ALICE, CHARLIE, code.syndrome(x))
+    m23 = Message(1, BOB, CHARLIE, code.syndrome(y))
     transcript = Transcript((m13, m23))
     z_hat = _charlie_output(transcript, code)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
@@ -195,9 +199,9 @@ def run_zero_error_otp(x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) -> RunOutcome:
     """Uncoded one-time-pad scheme; exact for every input pair."""
     if y.n != x.n or k.n != x.n:
         raise ContractViolation(f"inputs and pad must share one length, got {x.n}, {y.n}, {k.n}")
-    m12 = Message(1, PartyId.ALICE, PartyId.BOB, k)
-    m13 = Message(1, PartyId.ALICE, PartyId.CHARLIE, k ^ x)
-    m23 = Message(2, PartyId.BOB, PartyId.CHARLIE, m12.payload ^ y)
+    m12 = Message(1, ALICE, BOB, k)
+    m13 = Message(1, ALICE, CHARLIE, k ^ x)
+    m23 = Message(2, BOB, CHARLIE, m12.payload ^ y)
     transcript = Transcript((m12, m13, m23))
     z_hat = _charlie_output(transcript, None)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)

@@ -397,25 +397,28 @@ def test_enumeration_guard():
 
 
 def test_enumeration_replay_check_varies_every_input(monkeypatch):
-    # Every batch engine's self-check replays 64 atoms or trials, spread over
-    # x, y and k alike.
+    # Every batch engine's self-check replays 64 atoms or trials of every
+    # protocol through its own runner, spread over x, y and k alike.
     seen = []
-    honest = analysis.run_secure_km
+    for runner in ("run_secure_km", "run_plain_km", "run_zero_error_otp"):
+        def recording(*args, runner=runner, honest=getattr(analysis, runner)):
+            seen.append((runner, *(a.bits for a in args if isinstance(a, Gf2Vector))))
+            return honest(*args)
 
-    def recording(code, x, y, k):
-        seen.append((x.bits, y.bits, k.bits))
-        return honest(code, x, y, k)
-
-    monkeypatch.setattr(analysis, "run_secure_km", recording)
-    code, params = build_code(8, 6, seed=2), DsbsParams(p=0.2, n=8)
-    for engine in (lambda: enumerate_joint("secure-km", code, params),
-                   lambda: affine_joint("secure-km", code, params),
-                   lambda: monte_carlo_error("secure-km", code, params, 1000, Random(4))):
-        seen.clear()
-        engine()
-        assert len(seen) == 64
-        for i in range(3):
-            assert len({run[i] for run in seen}) > 1
+        monkeypatch.setattr(analysis, runner, recording)
+    code = build_code(8, 6, seed=2)
+    for protocol, runner, n in (("secure-km", "run_secure_km", 8), ("plain-km", "run_plain_km", 8),
+                                ("zero-error-otp", "run_zero_error_otp", 6)):
+        arg, params = None if protocol == "zero-error-otp" else code, DsbsParams(p=0.2, n=n)
+        for engine in (lambda: enumerate_joint(protocol, arg, params),
+                       lambda: affine_joint(protocol, arg, params),
+                       lambda: monte_carlo_error(protocol, arg, params, 1000, Random(4))):
+            seen.clear()
+            engine()
+            assert len(seen) == 64
+            assert {run[0] for run in seen} == {runner}
+            for i in range(1, len(seen[0])):
+                assert len({run[i] for run in seen}) > 1
 
 
 def test_enumerate_joint_validation():

@@ -209,6 +209,10 @@ def test_dimension_mismatches_rejected():
         Gf2Vector.from_string("10") ^ Gf2Vector.from_string("101")
     with pytest.raises(ContractViolation):
         Gf2Vector(4, 2)  # value outside two bits
+    with pytest.raises(ContractViolation, match="does not fit in 3 bits"):
+        Gf2Vector(-1, 3)
+    with pytest.raises(ContractViolation, match="length must be non-negative"):
+        Gf2Vector(0, -1)
     with pytest.raises(ContractViolation):
         Gf2Vector.from_bits([0, 2, 1])
 

@@ -223,9 +223,32 @@ def test_run_dimension_validation():
         run_zero_error_otp(X, Y, Gf2Vector.zeros(2))
 
 
+def test_link_payload_concatenates_each_link_in_schedule_order():
+    # Every protocol sends one message per link; this transcript sends two on
+    # the 1-3 link, the second in the other direction, and none on the 1-2 link.
+    a, b = Gf2Vector.from_string("10"), Gf2Vector.from_string("011")
+    transcript = Transcript((Message(1, PartyId.ALICE, PartyId.CHARLIE, a),
+                             Message(1, PartyId.BOB, PartyId.CHARLIE, b),
+                             Message(2, PartyId.CHARLIE, PartyId.ALICE, b)))
+    assert transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE) == Gf2Vector.from_string("10011")
+    assert transcript.link_payload(PartyId.BOB, PartyId.CHARLIE) == b
+    assert transcript.link_payload(PartyId.ALICE, PartyId.BOB) == Gf2Vector.zeros(0)
+    assert (transcript.l12, transcript.l13, transcript.l23) == (0, 5, 3)
+    for u, v in product(PartyId, repeat=2):
+        assert transcript.link_payload(u, v) == transcript.link_payload(v, u)
+
+
 def test_message_validation():
     with pytest.raises(ContractViolation):
         Message(1, PartyId.ALICE, PartyId.ALICE, Gf2Vector.zeros(2))
+    message = Message(1, PartyId.ALICE, PartyId.BOB, Gf2Vector.zeros(2))
+    with pytest.raises(ContractViolation):
+        message._replace(receiver=PartyId.ALICE)
+    # The records of a run are read-only.
+    out = run_secure_km(FIXTURE, X, Y, K)
+    for record, name in ((X, "bits"), (message, "sender"), (out.transcript, "messages"), (out, "correct")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_output_from_transcript_needs_code():
