@@ -3,23 +3,24 @@
 Two exact engines answer the same entropy queries. `affine_joint` uses the
 affine structure of the protocols: every variable is a linear function of the
 uniform (x, k) plus a function of the noise word z = x xor y alone, so a joint
-entropy is a rank plus a sum over the 2^n noise words. `enumerate_joint` is the
-oracle: it walks every (x, y, k) combination, replays the protocol algebra on
-all of them at once, and returns the exact joint pmf of inputs, messages, and
-output. Privacy and conditional-entropy quantities are only ever computed
-exactly; sampling is used for error rates alone.
+entropy is a rank plus the entropy of a function of z, which is 0, H(z), or
+a function of the syndrome of z grouped over its 2^m values. `enumerate_joint`
+is the oracle: it walks every (x, y, k) combination, replays the protocol
+algebra on all of them at once, and returns the exact joint pmf of inputs,
+messages, and output. Privacy and conditional-entropy quantities are only ever
+computed exactly; sampling is used for error rates alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from random import Random
 from typing import Sequence
 
 import numpy as np
 
-from .codes import ENUMERATION_GUARD_BITS, LinearCode
+from .codes import ENUMERATION_GUARD_BITS, TABLE_GUARD_BITS, WORD_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
 from .gf2 import Gf2Vector, echelon, span_table
 from .protocol import (
@@ -65,7 +66,7 @@ _BINCOUNT_MAX_BITS = 22
 # Tolerance of the exact zero-error checks of Lemma 1.
 _LEMMA1_TOL = 1e-10
 
-# The variables of one run, in column order.
+# The variables of one run, in column order; a replay adds whether its output is wrong.
 _VARIABLES = ("x", "y", "z", "k", "m12", "m13", "m23", "zhat")
 # Atoms or trials every batch engine replays through the message-passing code per call.
 _REPLAYS = 64
@@ -145,8 +146,7 @@ def _grouped_entropy(keys: np.ndarray, bits: int, probs: np.ndarray) -> float:
     else:
         _, inverse = np.unique(keys, return_inverse=True)
         grouped = np.bincount(inverse, weights=probs)
-    nz = grouped[grouped > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    return _plogp(grouped)
 
 
 @dataclass(eq=False)
@@ -157,13 +157,15 @@ class AffineJoint:
     independent of the noise word z = x xor y, and zhat depends on z alone.
     Given z, a variable set V is uniform on a coset of the image of A_V, so
     H(V) = rank(A_V) + H(B_V·(z, zhat)), where the rows of B_V span the
-    combinations of V's bits that cancel (x, k). The second term is a sum over
-    the 2^n noise words. Same entropy interface as `JointPmf`.
+    combinations of V's bits that cancel (x, k). Same entropy interface as
+    `JointPmf`.
 
     `rows[name]` holds one packed row per bit of the variable over the word
     z | zhat << n | x << 2n | k << 3n, so the (x, k) part sits in the high bits
-    and elimination by leading bit clears it first. `zhat[z]` and `probs[z]`
-    are the decoded sum and the probability of every noise word.
+    and elimination by leading bit clears it first. zhat is the coset leader
+    of the syndrome s = H·z: `parity` holds the m rows of H and `leaders[s]` the
+    leader of each syndrome. An uncoded protocol sends z itself, so its H is
+    the identity and `leaders` is None, the identity map.
     """
 
     protocol: str
@@ -172,8 +174,8 @@ class AffineJoint:
     p: float
     widths: dict[str, int]
     rows: dict[str, tuple[int, ...]]
-    zhat: np.ndarray
-    probs: np.ndarray
+    parity: tuple[int, ...]
+    leaders: np.ndarray | None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def entropy(self, variables) -> float:
@@ -188,14 +190,89 @@ class AffineJoint:
         return h
 
     def _noise_entropy(self, noise: list[int]) -> float:
-        """H(B·(z, zhat)) for the rows B, summed over every noise word z."""
+        """H(B·(z, zhat)) for the echelon rows B, none of which reads x or k.
+
+        No rows: 0. Rows that read z back: zhat is a function of z, so H(z).
+        Otherwise each z-part g must lie in the row space of H; then
+        g·z = g·zhat, since H·zhat = H·z, and B·(z, zhat) = G·zhat with the
+        z-part of each row folded onto its zhat part. That is a function of
+        the syndrome s, one-to-one when G·zhat gives back s.
+        """
+        n = self.n
         if not noise:
             return 0.0
-        nmask = (1 << self.n) - 1
-        keys = span_table((row & nmask for row in noise), self.n)
-        if any(row >> self.n for row in noise):
-            keys ^= span_table((row >> self.n for row in noise), self.n)[self.zhat]
-        return _grouped_entropy(keys, len(noise), self.probs)
+        if sum(row >> n == 0 for row in noise) == n:
+            return n * binary_entropy(self.p)
+        zmask = (1 << n) - 1
+        if len(echelon([*self.parity, *(row & zmask for row in noise)])) > self.m:
+            raise CapacityError("a noise combination reads z outside the row space of H")
+        folded = echelon((row ^ row >> n) & zmask for row in noise)
+        if not folded:
+            return 0.0
+        if len(echelon([*folded, *self.parity])) == len(folded):
+            # G·zhat gives s back, so it carries H(s); an uncoded protocol's syndrome is z.
+            if self.leaders is None:
+                return n * binary_entropy(self.p)
+            return sum(_plogp(self.law[lo:hi]) for lo, hi in _blocks(len(self.law), _CHUNK))
+        words = np.arange(1 << self.m) if self.leaders is None else self.leaders
+        tables = _syndrome_tables(folded, n)
+        keys = np.concatenate([_batch_syndromes(tables, words[lo:hi].astype("<u8")[:, None])
+                               for lo, hi in _blocks(len(words), _CHUNK)])
+        return _grouped_entropy(keys, len(folded), self.law)
+
+    @cached_property
+    def law(self) -> np.ndarray:
+        """P(s) of the syndrome s = H·z over its 2^m values."""
+        return _syndrome_law(self.parity, self.n, self.p)
+
+
+def _syndrome_law(parity: tuple[int, ...], n: int, p: float) -> np.ndarray:
+    """P(s) of s = H·z for z with independent Bernoulli(p) bits, H given by its rows.
+
+    Gauss-Jordan elimination gives T·H = R with a unit column of R for each row,
+    its pivot. If z is zero off the pivots, T·s is z on them, so
+    P(s) = p^w (1 - p)^(m - w) with w the weight of T·s. Every other column h
+    of H then takes one flip pass: P <- (1 - p)·P + p·P[s xor h]. Each cell is a
+    sum of non-negative products, so none cancels below zero. A pass reads P in
+    blocks of `_CHUNK` cells; xor by h sends a block to the block at
+    lo xor (the high bits of h), permuted by the low bits of h.
+    """
+    m = len(parity)
+    rows, tags, pivots = list(parity), [1 << i for i in range(m)], 0
+    for i in range(m):
+        pivot = rows[i] & -rows[i]  # a column no earlier row pivots on
+        pivots |= pivot
+        for j in range(m):
+            if j != i and rows[j] & pivot:
+                rows[j] ^= rows[i]
+                tags[j] ^= tags[i]
+    ptable = np.array([p**w * (1.0 - p) ** (m - w) for w in range(m + 1)])
+    law = ptable[np.bitwise_count(span_table(tags, m))]
+    size = len(law)
+    width = min(size, _CHUNK)
+    cells = np.arange(width)
+    moved = np.empty_like(law)
+    for j in (j for j in range(n) if not pivots >> j & 1):
+        h = sum(((row >> j) & 1) << i for i, row in enumerate(parity))
+        inner = cells ^ (h & (width - 1))
+        for lo, hi in _blocks(size, width):
+            src = lo ^ (h & -width)
+            law[src:src + width].take(inner, out=moved[lo:hi])
+        law *= 1.0 - p
+        moved *= p
+        law += moved
+    return law
+
+
+def _blocks(size: int, width: int):
+    """(lo, hi) bounds of the blocks of `width` that cover range(size)."""
+    return ((lo, min(lo + width, size)) for lo in range(0, size, width))
+
+
+def _plogp(probs: np.ndarray) -> float:
+    """-sum(q log2 q) over the cells of probs with q > 0."""
+    nz = probs[probs > 0.0]
+    return float(-np.sum(nz * np.log2(nz)))
 
 
 def entropy(pmf: JointPmf | AffineJoint, variables) -> float:
@@ -247,11 +324,11 @@ def enumerate_joint(protocol_id: str, code: LinearCode | None, params: DsbsParam
         hi = min(lo + _CHUNK, size)
         x, y, k = _split(np.arange(lo, hi, dtype=np.int64), n, klen)
         run = _variables(x, y, k, *_batch_run(syndrome, decode, x, y, k))
-        for name, col in run.items():
-            columns[name][lo:hi] = col
-        probs[lo:hi] = ptable[np.bitwise_count(run["z"])]
+        for col, values in zip(columns.values(), run):
+            col[lo:hi] = values
+        probs[lo:hi] = ptable[np.bitwise_count(x ^ y)]
     _check_replays(spec, code, n, klen, "enumerated atom", (
-        (i, _split(i, n, klen), {name: int(col[i]) for name, col in columns.items()})
+        (i, _split(i, n, klen), tuple(int(col[i]) for col in columns.values()))
         for i in _spread(size)))
     return JointPmf(protocol=protocol_id, n=n, m=mlen, p=params.p,
                     widths=widths, columns=columns, probs=probs)
@@ -262,9 +339,10 @@ def _split(index, n: int, klen: int):
     return index >> (klen + n), (index >> klen) & ((1 << n) - 1), index & ((1 << klen) - 1)
 
 
-def _variables(x, y, k, m13, m23, zhat) -> dict:
-    """Every variable of a run, or of a batch of runs: z = x xor y, and m12 carries k."""
-    return dict(zip(_VARIABLES, (x, y, x ^ y, k, k, m13, m23, zhat)))
+def _variables(x, y, k, m13, m23, zhat) -> tuple:
+    """Every variable of a run, or of a batch of runs, in `_VARIABLES` order:
+    z = x xor y, and m12 carries k."""
+    return x, y, x ^ y, k, k, m13, m23, zhat
 
 
 def _batch_run(syndrome, decode, x, y, k):
@@ -282,8 +360,9 @@ def _identity(words):
 
 
 def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
-            x: int, y: int, k: int, klen: int) -> dict[str, int]:
-    """Every variable of one (x, y, k) atom, from a run of the message-passing code."""
+            x: int, y: int, k: int, klen: int) -> tuple:
+    """Every variable of one (x, y, k) atom in `_VARIABLES` order, then whether
+    the output is wrong, from a run of the message-passing code."""
     xv, yv, kv = Gf2Vector(x, n), Gf2Vector(y, n), Gf2Vector(k, klen)
     if not spec.coded:
         out = run_zero_error_otp(xv, yv, kv)
@@ -292,9 +371,8 @@ def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
     else:
         out = run_plain_km(code, xv, yv)
     link = out.transcript.link_payload
-    return {"x": x, "y": y, "z": x ^ y, "k": k, "m12": link(ALICE, BOB).bits,
-            "m13": link(ALICE, CHARLIE).bits, "m23": link(BOB, CHARLIE).bits,
-            "zhat": out.z_hat.bits, "wrong": not out.correct}
+    return (x, y, x ^ y, k, link(ALICE, BOB).bits, link(ALICE, CHARLIE).bits,
+            link(BOB, CHARLIE).bits, out.z_hat.bits, not out.correct)
 
 
 def _spread(size: int) -> list[int]:
@@ -308,46 +386,50 @@ def _spread(size: int) -> list[int]:
 
 def _check_replays(spec: ProtocolSpec, code: LinearCode | None, n: int, klen: int,
                    what: str, atoms) -> None:
-    """Raise unless each (label, (x, y, k), variables) atom of a batch engine agrees,
-    in every variable it has, with a run of the message-passing code on that x, y and k.
-    The inputs come apart from the variables, so an engine that misreads x, y or k
-    alike in every variable is still caught."""
+    """Raise unless each (label, (x, y, k), values) atom of a batch engine agrees
+    with a run of the message-passing code on that x, y and k. `values` is a
+    prefix of the replay's tuple: the variables in `_VARIABLES` order, then
+    whether the output is wrong. The inputs come apart from the values, so an
+    engine that misreads x, y or k alike in every variable is still caught."""
     for label, inputs, atom in atoms:
-        run = _replay(spec, code, n, *inputs, klen)
-        if atom != {name: run[name] for name in atom}:
+        if _replay(spec, code, n, *inputs, klen)[:len(atom)] != atom:
             raise RuntimeError(f"{what} {label} disagrees with protocol replay")
 
 
 def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> AffineJoint:
-    """Exact joint law of one instance from its affine description; 2^n noise words.
+    """Exact joint law of one instance from its affine description.
 
+    It needs the leader of every syndrome, so it runs wherever the leader table
+    does: m <= 24 and n <= 63, where an uncoded protocol's syndrome is z, m = n.
     Every call evaluates the description at a spread sample of (x, y, k) atoms
     and compares it with a replay through the message-passing engine, so the
     algebra cannot drift from the protocols it claims to summarise.
     """
     n = params.n
     spec, mlen, klen = check_instance(protocol_id, code, n)
-    if n > ENUMERATION_GUARD_BITS:
+    if mlen > TABLE_GUARD_BITS or n > WORD_GUARD_BITS:
         raise CapacityError(
-            f"exact leakage sums 2^{n} noise words, guard is 2^{ENUMERATION_GUARD_BITS}"
+            f"exact leakage groups 2^{mlen} syndromes of {n}-bit words, "
+            f"guards are 2^{TABLE_GUARD_BITS} and n <= {WORD_GUARD_BITS}"
         )
-    words = np.arange(1 << n, dtype=np.int64)
-    zhat = code.leaders[code.syndrome_table()] if spec.coded else words
     rows = _affine_rows(spec, code, n, mlen, klen)
-    ptable = np.array([params.p**d * (1.0 - params.p) ** (n - d) for d in range(n + 1)])
     joint = AffineJoint(
         protocol=protocol_id, n=n, m=mlen, p=params.p,
-        widths={name: len(r) for name, r in rows.items()}, rows=rows, zhat=zhat,
-        probs=ptable[np.bitwise_count(words)],
+        widths={name: len(r) for name, r in rows.items()}, rows=rows,
+        parity=_parity(spec, code, n), leaders=code.leaders if spec.coded else None,
     )
-    # Atom indices have 2n + klen bits, up to 72, so they are split as Python ints.
+    # Atom indices have 2n + klen bits, up to 150, so they are split as Python ints.
     atoms = [(i, _split(i, n, klen)) for i in _spread(1 << (2 * n + klen))]
     x, y, k = (np.array(column, dtype=np.int64) for column in zip(*(xyk for _, xyk in atoms)))
-    evaluated = _evaluate(joint, x, y, k)
-    values = zip(*(column.tolist() for column in evaluated.values()))
+    values = zip(*(column.tolist() for column in _evaluate(joint, x, y, k)))
     _check_replays(spec, code, n, klen, "affine atom",
-                   ((i, xyk, dict(zip(evaluated, v))) for (i, xyk), v in zip(atoms, values)))
+                   ((i, xyk, v) for (i, xyk), v in zip(atoms, values)))
     return joint
+
+
+def _parity(spec: ProtocolSpec, code: LinearCode | None, n: int) -> tuple[int, ...]:
+    """The map each party applies to its own input before masking: H, or the identity."""
+    return code.matrix.rows if spec.coded else tuple(1 << i for i in range(n))
 
 
 def _affine_rows(spec: ProtocolSpec, code: LinearCode | None, n: int,
@@ -355,8 +437,7 @@ def _affine_rows(spec: ProtocolSpec, code: LinearCode | None, n: int,
     """One packed row per variable bit over the word z | zhat << n | x << 2n | k << 3n."""
     Z, ZH, X, K = 0, n, 2 * n, 3 * n
     eye = [1 << i for i in range(n)]
-    # The map each party applies to its own input before masking.
-    parity = list(code.matrix.rows) if spec.coded else eye
+    parity = _parity(spec, code, n)
     key = _shift(K, [1 << i for i in range(klen)])
     mask = key if spec.masked else (0,) * mlen
     m13 = _xor(mask, _shift(X, parity))
@@ -372,7 +453,7 @@ def _affine_rows(spec: ProtocolSpec, code: LinearCode | None, n: int,
     }
 
 
-def _shift(offset: int, words: list[int]) -> tuple[int, ...]:
+def _shift(offset: int, words) -> tuple[int, ...]:
     return tuple(w << offset for w in words)
 
 
@@ -380,25 +461,36 @@ def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(u ^ v for u, v in zip(a, b, strict=True))
 
 
-def _evaluate(joint: AffineJoint, x: np.ndarray, y: np.ndarray, k: np.ndarray) -> dict[str, np.ndarray]:
-    """Every variable at arrays of (x, y, k) atoms, read off the affine description.
+def _evaluate(joint: AffineJoint, x: np.ndarray, y: np.ndarray,
+              k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every variable, in `_VARIABLES` order, at arrays of (x, y, k) atoms, read
+    off the affine description; zhat is the leader of the syndrome of z.
 
-    A packed row has 4n bits, up to 96, so each row is split into its z, zhat,
-    x and k fields and ANDed with the atoms' fields; a variable bit is the
-    parity of what is left.
+    A variable bit is the parity of its packed row ANDed with the atom's word
+    z | zhat << n | x << 2n | k << 3n: one product of the rows' bits with the
+    words' bits. A second product weighs each bit by its place in its variable.
     """
-    n, mask = joint.n, (1 << joint.n) - 1
+    n = joint.n
     z = x ^ y
-    word = np.stack([z, joint.zhat[z], x, k])
-    fields = np.array([[row >> shift & mask for shift in range(0, 4 * n, n)]
-                       for rows in joint.rows.values() for row in rows], dtype=np.int64)
-    bits = np.bitwise_count(np.bitwise_xor.reduce(fields[:, :, None] & word, axis=1)) & 1
-    out, lo = {}, 0
-    for name, rows in joint.rows.items():
-        shifts = np.arange(len(rows))[:, None]
-        out[name] = (bits[lo:lo + len(rows)].astype(np.int64) << shifts).sum(axis=0)
-        lo += len(rows)
-    return out
+    zhat = z
+    if joint.leaders is not None:
+        # z as little-endian 64-bit word rows, the layout the byte tables read.
+        synd = _batch_syndromes(_syndrome_tables(joint.parity, n), z.astype("<u8")[:, None])
+        zhat = joint.leaders[synd]
+    rows = [row for rows in joint.rows.values() for row in rows]
+    size = -(-4 * n // 8)
+    packed = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
+    row_bits = np.unpackbits(packed.reshape(len(rows), size), axis=1, count=4 * n, bitorder="little")
+    fields = np.stack([z, zhat, x, k]).astype("<u8").view(np.uint8).reshape(4, len(x), 8)
+    word_bits = np.unpackbits(fields, axis=2, count=n, bitorder="little").transpose(0, 2, 1)
+    # Each count is at most 4n, so the float product is exact.
+    bits = (row_bits @ word_bits.reshape(4 * n, len(x)).astype(np.float64)).astype(np.int64) & 1
+    places = np.zeros((len(joint.rows), len(rows)), dtype=np.int64)
+    lo = 0
+    for index, width in enumerate(map(len, joint.rows.values())):
+        places[index, lo:lo + width] = 1 << np.arange(width)
+        lo += width
+    return tuple(places @ bits)
 
 
 @dataclass(frozen=True)
@@ -564,8 +656,7 @@ def monte_carlo_error(
         errors += int(np.count_nonzero(wrong))
         for i in [i for i in replayed if lo <= i < lo + count]:
             j = i - lo
-            atom = _variables(*(_word(col, j) for col in (x, y, k, m13, m23, zhat)))
-            atom["wrong"] = bool(wrong[j])
+            atom = (*_variables(*(_word(col, j) for col in (x, y, k, m13, m23, zhat))), bool(wrong[j]))
             seen[i] = (_trial_inputs(raw[j * width : (j + 1) * width], n, klen, limit), atom)
 
     _check_replays(spec, code, n, klen, "Monte Carlo trial", ((i, *seen[i]) for i in replayed))

@@ -17,13 +17,17 @@ __all__ = [
     "exact_error_probability",
     "m_for_rate",
     "TABLE_GUARD_BITS",
+    "WORD_GUARD_BITS",
     "ENUMERATION_GUARD_BITS",
 ]
 
 # Leader tables hold 2**m entries; refuse anything beyond this.
 TABLE_GUARD_BITS = 24
 
-# Syndrome tables and exact leakage walk 2**n noise words; refuse beyond this.
+# Leader words are packed in int64, so codes stop at this length.
+WORD_GUARD_BITS = 63
+
+# Syndrome tables walk 2**n words; refuse beyond this.
 ENUMERATION_GUARD_BITS = 24
 
 
@@ -82,8 +86,8 @@ def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
     (`_BLOCK`, `_PASS`) that leave the minimum over the same candidates.
     """
     n, m = matrix.cols, matrix.m
-    if n > 63:
-        raise CapacityError(f"leader words are packed in int64, so n <= 63; got n={n}")
+    if n > WORD_GUARD_BITS:
+        raise CapacityError(f"leader words are packed in int64, so n <= {WORD_GUARD_BITS}; got n={n}")
     cols = np.array([sum(((row >> (n - 1 - j)) & 1) << i for i, row in enumerate(matrix.rows))
                      for j in range(n)], dtype=np.int64)
     empty = np.iinfo(np.int64).max  # above every leader, whose weight is <= m < 63
@@ -187,8 +191,16 @@ def exact_error_probability(code: LinearCode, p: float) -> float:
 
 
 def m_for_rate(n: int, rate: float) -> int:
-    """Syndrome length for a requested rate: ceil(n * rate), clamped to [0, n]."""
+    """Syndrome length for a requested rate: ceil(n * rate), clamped to [0, n].
+
+    The product is taken exactly on the rate as written, its shortest decimal
+    form, so 25 * 0.28 is 7 and not the binary 7.000000000000001.
+    """
     if rate < 0.0 or rate > 1.0:
         raise ContractViolation(f"rate must lie in [0, 1], got {rate}")
-    return min(n, math.ceil(n * rate))
+    digits, _, exponent = repr(rate).partition("e")
+    whole, _, fraction = digits.partition(".")
+    # rate == int(whole + fraction) / 10**scale, and scale >= 0 since rate <= 1.
+    scale = len(fraction) - int(exponent or 0)
+    return min(n, -(-n * int(whole + fraction) // 10**scale))
 

@@ -23,9 +23,9 @@ from securesum.analysis import (
     rate_report,
 )
 from securesum.cli import ReportRow
-from securesum.codes import build_code, code_from_matrix, exact_error_probability
+from securesum.codes import LinearCode, build_code, code_from_matrix, exact_error_probability
 from securesum.errors import CapacityError, ConfigurationError, ContractViolation
-from securesum.gf2 import Gf2Matrix, Gf2Vector
+from securesum.gf2 import Gf2Matrix, Gf2Vector, echelon, span_table
 from securesum.protocol import check_instance, run_plain_km, run_secure_km, run_zero_error_otp
 from securesum.source import DsbsParams, binary_entropy, pair_probability
 
@@ -538,9 +538,12 @@ def test_affine_engine_replay_catches_a_corrupted_zhat_row(monkeypatch):
 
 def _scalar_evaluate(joint, x, y, k):
     """Every variable of one (x, y, k) atom, one packed row at a time: the
-    reference for the batched `analysis._evaluate`."""
+    reference for the batched `analysis._evaluate`. zhat is the leader of the
+    syndrome of z, which is z itself when there is no leader table."""
     n = joint.n
-    word = (x ^ y) | int(joint.zhat[x ^ y]) << n | x << 2 * n | k << 3 * n
+    synd = sum(((row & (x ^ y)).bit_count() & 1) << i for i, row in enumerate(joint.parity))
+    zhat = synd if joint.leaders is None else int(joint.leaders[synd])
+    word = (x ^ y) | zhat << n | x << 2 * n | k << 3 * n
     return {
         name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))
         for name, rows in joint.rows.items()
@@ -548,9 +551,10 @@ def _scalar_evaluate(joint, x, y, k):
 
 
 def _assert_evaluation_matches_scalar(joint, x, y, k):
-    batched = {name: col.tolist() for name, col in analysis._evaluate(joint, x, y, k).items()}
+    evaluated = analysis._evaluate(joint, x, y, k)
+    assert tuple(joint.rows) == analysis._VARIABLES and len(evaluated) == len(joint.rows)
+    batched = {name: col.tolist() for name, col in zip(joint.rows, evaluated)}
     scalar = [_scalar_evaluate(joint, *xyk) for xyk in zip(x.tolist(), y.tolist(), k.tolist())]
-    assert list(batched) == list(joint.rows)
     for name, column in batched.items():
         assert column == [atom[name] for atom in scalar], (joint.protocol, joint.n, joint.m, name)
 
@@ -581,6 +585,15 @@ def test_batched_evaluation_splits_rows_wider_than_64_bits():
 def test_affine_engine_guard_and_validation():
     with pytest.raises(CapacityError, match="2\\^25"):
         affine_joint("zero-error-otp", None, DsbsParams(p=0.1, n=25))
+    # The engine needs no 2^n words, only the leader table's limits: m <= 24 and n <= 63.
+    # These codes are built by hand, past the checks of build_code.
+    wide = LinearCode(n=64, m=1, matrix=Gf2Matrix((1,), 64), seed=None, leaders=np.array([0, 1]))
+    with pytest.raises(CapacityError, match="n <= 63"):
+        affine_joint("plain-km", wide, DsbsParams(p=0.1, n=64))
+    tall = LinearCode(n=30, m=25, matrix=Gf2Matrix(tuple(1 << i for i in range(25)), 30), seed=None,
+                      leaders=np.zeros(1, dtype=np.int64))
+    with pytest.raises(CapacityError, match="2\\^25"):
+        affine_joint("secure-km", tall, DsbsParams(p=0.1, n=30))
     with pytest.raises(ConfigurationError):
         affine_joint("bogus", FIXTURE, DsbsParams(p=0.1, n=3))
     with pytest.raises(ConfigurationError):
@@ -592,6 +605,129 @@ def test_affine_engine_guard_and_validation():
     assert ("m12", "m13", "m23") in joint._cache
     with pytest.raises(ConfigurationError):
         joint.entropy("nonsense")
+
+
+def _noise_word_sum(joint):
+    """H(B·(z, zhat)) of echelon noise rows B, summed over all 2^n noise words,
+    each decoded through the syndrome table: the algorithm the engine replaced,
+    kept as its reference."""
+    n = joint.n
+    words = np.arange(1 << n, dtype=np.int64)
+    zhat = words if joint.leaders is None else joint.leaders[span_table(joint.parity, n)]
+    ptable = np.array([joint.p**d * (1.0 - joint.p) ** (n - d) for d in range(n + 1)])
+    probs = ptable[np.bitwise_count(words)]
+    zmask = (1 << n) - 1
+
+    def noise_entropy(noise):
+        keys = span_table((row & zmask for row in noise), n)
+        keys ^= span_table((row >> n for row in noise), n)[zhat]
+        return analysis._grouped_entropy(keys, len(noise), probs)
+
+    return noise_entropy
+
+
+def _reference_entropy(joint, noise_entropy, variables):
+    """H(variables) as the rank of the (x, k) part plus the noise-word sum."""
+    key = analysis._expand(joint.protocol, joint.widths, variables)
+    basis = echelon(row for name in key for row in joint.rows[name])
+    noise = [row for row in basis if row >> 2 * joint.n == 0]
+    return len(basis) - len(noise) + noise_entropy(noise)
+
+
+def _report_instances():
+    """(protocol, code, n): all three protocols at n <= 20; codes with m = 0, a
+    middle m and m = n, and only the middle m at n = 20, where a sum takes longest."""
+    for n in (1, 3, 6, 11, 16, 20):
+        for m in sorted({(n + 1) // 3} if n == 20 else {0, (n + 1) // 3, n}):
+            for protocol in ("secure-km", "plain-km"):
+                yield protocol, build_code(n, m, seed=31 * n + m), n
+        yield "zero-error-otp", None, n
+
+
+def test_affine_engine_matches_the_noise_word_sum():
+    # Every set the three reports ask, against the sum over 2^n noise words.
+    for protocol, code, n in _report_instances():
+        for p in (0.0, 0.05, 0.25, 0.5):
+            joint = affine_joint(protocol, code, DsbsParams(p=p, n=n))
+            leakage_report(joint), rate_report(joint), check_lemma1(joint)
+            noise_entropy = _noise_word_sum(joint)
+            for key in list(joint._cache):
+                assert joint.entropy(key) == pytest.approx(
+                    _reference_entropy(joint, noise_entropy, key), abs=1e-10), (protocol, n, joint.m, p, key)
+
+
+def test_every_variable_set_lands_in_a_case_the_engine_has():
+    # Each noise part is empty, reads z back, or is a function of the syndrome:
+    # no set of named variables raises, and each agrees with the noise-word sum.
+    names = analysis._VARIABLES
+    subsets = [[name for bit, name in enumerate(names) if mask >> bit & 1]
+               for mask in range(1, 1 << len(names))]
+    assert len(subsets) == 255
+    n = 6
+    instances = [("zero-error-otp", None)] + [(protocol, build_code(n, m, seed=m))
+                                              for m in (0, 2, n) for protocol in ("secure-km", "plain-km")]
+    for protocol, code in instances:
+        for p in (0.1, 0.5):
+            joint = affine_joint(protocol, code, DsbsParams(p=p, n=n))
+            noise_entropy = _noise_word_sum(joint)
+            for subset in subsets:
+                assert joint.entropy(subset) == pytest.approx(
+                    _reference_entropy(joint, noise_entropy, subset), abs=1e-10), (protocol, joint.m, p, subset)
+
+
+def test_noise_entropy_groups_any_function_of_the_syndrome():
+    # No named set needs the grouping of P(s) by a key that loses s, so it is
+    # checked on noise rows made up for it, over z | zhat << n.
+    n = 9
+    code = build_code(n, 5, seed=4)
+    h0, h1 = code.matrix.rows[:2]
+    joint = affine_joint("plain-km", code, DsbsParams(p=0.15, n=n))
+    noise_entropy = _noise_word_sum(joint)
+    for noise in ([1 << n], [h0], [h0 | 1 << (n + 2)], [h0, h1 ^ 0b101 << n],
+                  [1 << (n + j) for j in range(n - 1)]):
+        noise = echelon(noise)
+        assert joint._noise_entropy(noise) == pytest.approx(noise_entropy(noise), abs=1e-10), noise
+    # A z-part outside the row space of H is not a function of the syndrome.
+    outside = next(1 << i for i in range(n) if len(echelon([*code.matrix.rows, 1 << i])) > code.m)
+    with pytest.raises(CapacityError, match="row space"):
+        joint._noise_entropy([outside])
+
+
+def test_syndrome_law_matches_the_syndrome_table(monkeypatch):
+    # P(s) from the flip passes against the noise-word masses summed per syndrome, up to m = 20.
+    for n, m in ((1, 0), (1, 1), (6, 3), (9, 9), (13, 7), (21, 20)):
+        code = build_code(n, m, seed=n + m)
+        words = np.arange(1 << n)
+        for p in (0.0, 0.05, 0.25, 0.5):
+            law = analysis._syndrome_law(code.matrix.rows, n, p)
+            ptable = np.array([p**d * (1.0 - p) ** (n - d) for d in range(n + 1)])
+            expect = np.bincount(code.syndrome_table(), weights=ptable[np.bitwise_count(words)],
+                                 minlength=1 << m)
+            assert law.shape == (1 << m,)
+            assert not np.isnan(law).any() and (law >= 0.0).all()
+            np.testing.assert_allclose(law, expect, rtol=1e-10, atol=0.0)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    # Passes in blocks of a few cells, as at m > 20, give the same law.
+    code = build_code(12, 10, seed=1)
+    whole = analysis._syndrome_law(code.matrix.rows, 12, 0.1)
+    monkeypatch.setattr(analysis, "_CHUNK", 1 << 3)
+    np.testing.assert_allclose(analysis._syndrome_law(code.matrix.rows, 12, 0.1), whole, rtol=1e-13, atol=0.0)
+
+
+def test_affine_engine_replay_catches_an_atom_out_of_order(monkeypatch):
+    # An engine hands over its atom as a prefix of the replay's tuple, so a
+    # value in the wrong place is caught even when every value is right.
+    honest = analysis._evaluate
+
+    def swapped(*args):
+        x, y, z, k, m12, m13, m23, zhat = honest(*args)
+        return x, y, z, k, m12, m23, m13, zhat
+
+    monkeypatch.setattr(analysis, "_evaluate", swapped)
+    code = build_code(6, 4, seed=1)
+    for protocol, arg in (("secure-km", code), ("plain-km", code), ("zero-error-otp", None)):
+        with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
+            affine_joint(protocol, arg, DsbsParams(p=0.2, n=6))
 
 
 def test_report_row_csv_line():

@@ -288,9 +288,12 @@ def test_single_instance_commands_are_one_point_sweeps(protocol):
 
 
 def test_capacity_guard_exits_3(capsys):
-    # Exact leakage sums over the 2^n noise words; the guard is n <= 24.
-    assert main(["leakage", "--protocol", "secure-km", "--n", "25", "--m", "3", "--p", "0.1"]) == 3
-    assert "capacity error" in capsys.readouterr().err
+    # Exact leakage groups the law of the syndrome, so it stops where leader
+    # tables do: m <= 24 and n <= 63, and the syndrome of the uncoded pad is z.
+    for argv in (["--protocol", "zero-error-otp", "--n", "25"],
+                 ["--protocol", "secure-km", "--n", "64", "--m", "3"]):
+        assert main(["leakage", *argv, "--p", "0.1"]) == 3
+        assert "capacity error" in capsys.readouterr().err
     assert main(["simulate", "--protocol", "secure-km", "--n", "30", "--m", "26", "--p", "0.1"]) == 3
     assert "capacity error" in capsys.readouterr().err
 
@@ -306,6 +309,29 @@ def test_leakage_beyond_the_atom_count_of_the_oracle(tmp_path):
     for col in ("eps1", "eps2", "eps3"):
         assert abs(float(row[col])) <= 1e-10
     assert float(row["rho"]) == pytest.approx(3 / 13, abs=1e-10)
+
+
+def test_sweep_rate_is_taken_as_written(tmp_path):
+    # 25 * 0.28 and 50 * 0.28 are 7 and 14, though their binary products lie just above.
+    rc, text = run_cli(["sweep", "--protocol", "secure-km", "--n", "25,50", "--rate", "0.28",
+                        "--p", "0.1", "--mode", "exact"], tmp_path)
+    assert rc == 0
+    assert [int(row["m"]) for row in parse_rows(text)] == [7, 14]
+
+
+@pytest.mark.parametrize("protocol", ["secure-km", "plain-km"])
+def test_leakage_beyond_the_old_noise_word_guard(tmp_path, protocol):
+    # n = 40 is 2^40 noise words, far past the sum the engine used to take;
+    # the closed forms hold for every full-rank code.
+    rc, text = run_cli(["leakage", "--protocol", protocol, "--n", "40", "--m", "20", "--p", "0.05"],
+                       tmp_path)
+    assert rc == 0
+    (row,) = parse_rows(text)
+    masked = protocol == "secure-km"
+    expect = {"eps1": 0.0, "eps2": 0.0, "eps3": 0.0 if masked else 0.5, "rho": 0.5 if masked else 0.0}
+    for col, value in expect.items():
+        assert abs(float(row[col]) - value) <= 1e-10, (col, row[col])
+    assert 0.0 < float(row["eps4"]) < binary_entropy(0.05)
 
 
 @pytest.mark.parametrize("command, doc", [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+from decimal import Decimal
 from itertools import combinations
 from random import Random
 
@@ -270,6 +272,21 @@ def test_m_for_rate_rounds_up():
     assert m_for_rate(5, 0.0) == 0
     with pytest.raises(ContractViolation):
         m_for_rate(5, 1.2)
+
+
+def test_m_for_rate_takes_the_rate_as_written():
+    # 25 * 0.28 is 7.000000000000001 in binary floating point; the rate as
+    # written gives exactly 7, so its ceiling is 7.
+    assert (m_for_rate(25, 0.28), m_for_rate(50, 0.28)) == (7, 14)
+    # The benchmark's job lists take min(n, ceil(n * rate)) on floats; at their rates the two agree.
+    for rate, ns in ((0.6, range(12, 23)), (0.75, (8, 12, 16))):
+        for n in ns:
+            assert m_for_rate(n, rate) == min(n, math.ceil(n * rate)), (n, rate)
+
+
+@given(st.integers(min_value=0, max_value=200), st.floats(min_value=0.0, max_value=1.0))
+def test_m_for_rate_is_the_ceiling_of_the_decimal_product(n, rate):
+    assert m_for_rate(n, rate) == min(n, math.ceil(n * Decimal(repr(rate))))
 
 
 def test_dimension_validation():
