@@ -22,7 +22,7 @@ import numpy as np
 
 from .codes import ENUMERATION_GUARD_BITS, TABLE_GUARD_BITS, WORD_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
-from .gf2 import Gf2Vector, echelon, span_table
+from .gf2 import Gf2Vector, column, echelon, span_table
 from .protocol import (
     ALICE,
     BOB,
@@ -66,7 +66,7 @@ _BINCOUNT_MAX_BITS = 22
 # Tolerance of the exact zero-error checks of Lemma 1.
 _LEMMA1_TOL = 1e-10
 
-# The variables of one run, in column order; a replay adds whether its output is wrong.
+# The variables of one run, in column order.
 _VARIABLES = ("x", "y", "z", "k", "m12", "m13", "m23", "zhat")
 # Atoms or trials every batch engine replays through the message-passing code per call.
 _REPLAYS = 64
@@ -196,7 +196,8 @@ class AffineJoint:
         Otherwise each z-part g must lie in the row space of H; then
         g·z = g·zhat, since H·zhat = H·z, and B·(z, zhat) = G·zhat with the
         z-part of each row folded onto its zhat part. That is a function of
-        the syndrome s, one-to-one when G·zhat gives back s.
+        the syndrome s, and every named variable set gives s back through it,
+        so it carries H(s); a G that loses s is refused.
         """
         n = self.n
         if not noise:
@@ -209,16 +210,12 @@ class AffineJoint:
         folded = echelon((row ^ row >> n) & zmask for row in noise)
         if not folded:
             return 0.0
-        if len(echelon([*folded, *self.parity])) == len(folded):
-            # G·zhat gives s back, so it carries H(s); an uncoded protocol's syndrome is z.
-            if self.leaders is None:
-                return n * binary_entropy(self.p)
-            return sum(_plogp(self.law[lo:hi]) for lo, hi in _blocks(len(self.law), _CHUNK))
-        words = np.arange(1 << self.m) if self.leaders is None else self.leaders
-        tables = _syndrome_tables(folded, n)
-        keys = np.concatenate([_batch_syndromes(tables, words[lo:hi].astype("<u8")[:, None])
-                               for lo, hi in _blocks(len(words), _CHUNK)])
-        return _grouped_entropy(keys, len(folded), self.law)
+        if len(echelon([*folded, *self.parity])) > len(folded):
+            raise CapacityError("a noise combination is a function of the syndrome that loses it")
+        # An uncoded protocol's syndrome is z.
+        if self.leaders is None:
+            return n * binary_entropy(self.p)
+        return sum(_plogp(self.law[lo:hi]) for lo, hi in _blocks(len(self.law), _CHUNK))
 
     @cached_property
     def law(self) -> np.ndarray:
@@ -253,7 +250,7 @@ def _syndrome_law(parity: tuple[int, ...], n: int, p: float) -> np.ndarray:
     cells = np.arange(width)
     moved = np.empty_like(law)
     for j in (j for j in range(n) if not pivots >> j & 1):
-        h = sum(((row >> j) & 1) << i for i, row in enumerate(parity))
+        h = column(parity, j)
         inner = cells ^ (h & (width - 1))
         for lo, hi in _blocks(size, width):
             src = lo ^ (h & -width)
@@ -323,12 +320,13 @@ def enumerate_joint(protocol_id: str, code: LinearCode | None, params: DsbsParam
     for lo in range(0, size, _CHUNK):
         hi = min(lo + _CHUNK, size)
         x, y, k = _split(np.arange(lo, hi, dtype=np.int64), n, klen)
-        run = _variables(x, y, k, *_batch_run(syndrome, decode, x, y, k))
-        for col, values in zip(columns.values(), run):
+        m13, m23, zhat = _batch_run(syndrome, decode, x, y, k)
+        # In `_VARIABLES` order: z = x xor y, and m12 carries k.
+        for col, values in zip(columns.values(), (x, y, x ^ y, k, k, m13, m23, zhat)):
             col[lo:hi] = values
         probs[lo:hi] = ptable[np.bitwise_count(x ^ y)]
     _check_replays(spec, code, n, klen, "enumerated atom", (
-        (i, _split(i, n, klen), tuple(int(col[i]) for col in columns.values()))
+        (i, _split(i, n, klen), {name: int(col[i]) for name, col in columns.items()})
         for i in _spread(size)))
     return JointPmf(protocol=protocol_id, n=n, m=mlen, p=params.p,
                     widths=widths, columns=columns, probs=probs)
@@ -339,17 +337,13 @@ def _split(index, n: int, klen: int):
     return index >> (klen + n), (index >> klen) & ((1 << n) - 1), index & ((1 << klen) - 1)
 
 
-def _variables(x, y, k, m13, m23, zhat) -> tuple:
-    """Every variable of a run, or of a batch of runs, in `_VARIABLES` order:
-    z = x xor y, and m12 carries k."""
-    return x, y, x ^ y, k, k, m13, m23, zhat
-
-
 def _batch_run(syndrome, decode, x, y, k):
-    """(m13, m23, zhat) of a batch of runs: the protocol algebra of both batch engines.
+    """(m13, m23, zhat) of a batch of runs: the protocol algebra of the oracle
+    `enumerate_joint` alone, which keeps its own syndrome and leader lookups
+    apart from the batch decoder the other engines share.
 
-    S is the syndrome map of a coded protocol and decode its leader lookup, both
-    the identity for an uncoded one; k is 0 for an unmasked one.
+    syndrome is the syndrome lookup of a coded protocol and decode its leader
+    lookup, both the identity for an uncoded one; k is 0 for an unmasked one.
     """
     m13, m23 = k ^ syndrome(x), k ^ syndrome(y)
     return m13, m23, decode(m13 ^ m23)
@@ -360,9 +354,9 @@ def _identity(words):
 
 
 def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
-            x: int, y: int, k: int, klen: int) -> tuple:
-    """Every variable of one (x, y, k) atom in `_VARIABLES` order, then whether
-    the output is wrong, from a run of the message-passing code."""
+            x: int, y: int, k: int, klen: int) -> dict:
+    """Every variable of one (x, y, k) atom by name, and "wrong", whether the
+    output is wrong, from a run of the message-passing code."""
     xv, yv, kv = Gf2Vector(x, n), Gf2Vector(y, n), Gf2Vector(k, klen)
     if not spec.coded:
         out = run_zero_error_otp(xv, yv, kv)
@@ -371,8 +365,9 @@ def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
     else:
         out = run_plain_km(code, xv, yv)
     link = out.transcript.link_payload
-    return (x, y, x ^ y, k, link(ALICE, BOB).bits, link(ALICE, CHARLIE).bits,
-            link(BOB, CHARLIE).bits, out.z_hat.bits, not out.correct)
+    return {"x": x, "y": y, "z": x ^ y, "k": k, "m12": link(ALICE, BOB).bits,
+            "m13": link(ALICE, CHARLIE).bits, "m23": link(BOB, CHARLIE).bits,
+            "zhat": out.z_hat.bits, "wrong": not out.correct}
 
 
 def _spread(size: int) -> list[int]:
@@ -387,12 +382,14 @@ def _spread(size: int) -> list[int]:
 def _check_replays(spec: ProtocolSpec, code: LinearCode | None, n: int, klen: int,
                    what: str, atoms) -> None:
     """Raise unless each (label, (x, y, k), values) atom of a batch engine agrees
-    with a run of the message-passing code on that x, y and k. `values` is a
-    prefix of the replay's tuple: the variables in `_VARIABLES` order, then
-    whether the output is wrong. The inputs come apart from the values, so an
-    engine that misreads x, y or k alike in every variable is still caught."""
-    for label, inputs, atom in atoms:
-        if _replay(spec, code, n, *inputs, klen)[:len(atom)] != atom:
+    with a run of the message-passing code on that x, y and k. `values` maps
+    the names the engine computed, any of the replay's, to their values, and
+    each is compared with the replay's value of that name. The inputs come
+    apart from the values, so an engine that misreads x, y or k alike in
+    every variable is still caught."""
+    for label, inputs, values in atoms:
+        replay = _replay(spec, code, n, *inputs, klen)
+        if any(replay[name] != value for name, value in values.items()):
             raise RuntimeError(f"{what} {label} disagrees with protocol replay")
 
 
@@ -420,10 +417,10 @@ def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) 
     )
     # Atom indices have 2n + klen bits, up to 150, so they are split as Python ints.
     atoms = [(i, _split(i, n, klen)) for i in _spread(1 << (2 * n + klen))]
-    x, y, k = (np.array(column, dtype=np.int64) for column in zip(*(xyk for _, xyk in atoms)))
-    values = zip(*(column.tolist() for column in _evaluate(joint, x, y, k)))
+    x, y, k = (np.array(col, dtype=np.int64) for col in zip(*(xyk for _, xyk in atoms)))
+    values = zip(*(col.tolist() for col in _evaluate(joint, x, y, k)))
     _check_replays(spec, code, n, klen, "affine atom",
-                   ((i, xyk, v) for (i, xyk), v in zip(atoms, values)))
+                   ((i, xyk, dict(zip(_VARIABLES, v))) for (i, xyk), v in zip(atoms, values)))
     return joint
 
 
@@ -464,7 +461,7 @@ def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def _evaluate(joint: AffineJoint, x: np.ndarray, y: np.ndarray,
               k: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every variable, in `_VARIABLES` order, at arrays of (x, y, k) atoms, read
-    off the affine description; zhat is the leader of the syndrome of z.
+    off the affine description; zhat is z through the shared batch decoder.
 
     A variable bit is the parity of its packed row ANDed with the atom's word
     z | zhat << n | x << 2n | k << 3n: one product of the rows' bits with the
@@ -472,11 +469,7 @@ def _evaluate(joint: AffineJoint, x: np.ndarray, y: np.ndarray,
     """
     n = joint.n
     z = x ^ y
-    zhat = z
-    if joint.leaders is not None:
-        # z as little-endian 64-bit word rows, the layout the byte tables read.
-        synd = _batch_syndromes(_syndrome_tables(joint.parity, n), z.astype("<u8")[:, None])
-        zhat = joint.leaders[synd]
+    zhat = _batch_decoder(joint.parity, joint.leaders, n)(z.astype("<i8")[:, None])[:, 0]
     rows = [row for rows in joint.rows.values() for row in rows]
     size = -(-4 * n // 8)
     packed = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
@@ -616,10 +609,13 @@ def monte_carlo_error(
     bytes, one little-endian 64-bit word per noise bit, set when the word is
     below ceil(p·2^64), then the key in 4·ceil(klen/32) bytes; x and the key
     keep their low n and klen bits. A row is whole 32-bit words, so the batch
-    size never changes what a trial reads. Every call replays a spread sample of
-    trials through the message-passing code on inputs read from their row bytes
-    alone, so neither the batch algebra nor the batch decode can drift from the
-    protocols.
+    size never changes what a trial reads. Charlie decodes m13 xor m23 = H·z,
+    so a run is wrong exactly when the batch decoder maps the noise word z to
+    another word, and a batch computes nothing but z, its decoded sum and that
+    verdict. Every call replays a spread sample of trials through the
+    message-passing code on the (x, y, k) read from their row bytes alone, and
+    compares those three by name, so the batch can drift neither from the
+    protocols nor from the trial bytes.
     """
     if trials < 1:
         raise ContractViolation(f"need at least one trial, got {trials}")
@@ -627,17 +623,9 @@ def monte_carlo_error(
     spec, _, klen = check_instance(protocol_id, code, n)
     if rng is None:
         raise ContractViolation("an explicit rng is required")
-    xwords = -(-n // 32)
-    width = 4 * xwords + 8 * n + 4 * -(-klen // 32)
+    width = 4 * -(-n // 32) + 8 * n + 4 * -(-klen // 32)
     batch = max(1, _MC_BATCH_BYTES // width)
-    if spec.coded:
-        syndrome = partial(_batch_syndromes, _syndrome_tables(code.matrix.rows, n))
-
-        def decode(synd):
-            # Leaders are int64 words of n <= 63 bits; split them into word rows like z.
-            return code.leaders[synd].astype("<u8").view("<u4").reshape(len(synd), 2)[:, :xwords]
-    else:
-        syndrome = decode = _identity
+    decode = _batch_decoder(_parity(spec, code, n), code.leaders if spec.coded else None, n)
     limit = math.ceil(params.p * 2.0**64)
     replayed = _spread(trials)
 
@@ -646,18 +634,14 @@ def monte_carlo_error(
     for lo in range(0, trials, batch):
         count = min(batch, trials - lo)
         raw = rng.randbytes(width * count)
-        x, z, k = _batch_inputs(np.frombuffer(raw, dtype=np.uint8).reshape(count, width),
-                                n, klen, limit)
-        y = x ^ z
-        # A coded protocol's syndromes, and so its key, are packed ints of m <= 24 bits.
-        key = (k[:, 0].astype(np.int64) if spec.coded else k) if klen else 0
-        m13, m23, zhat = _batch_run(syndrome, decode, x, y, key)
+        z = _batch_noise(np.frombuffer(raw, dtype=np.uint8).reshape(count, width), n, limit)
+        zhat = decode(z)
         wrong = (zhat != z).any(axis=1)
         errors += int(np.count_nonzero(wrong))
         for i in [i for i in replayed if lo <= i < lo + count]:
             j = i - lo
-            atom = (*_variables(*(_word(col, j) for col in (x, y, k, m13, m23, zhat))), bool(wrong[j]))
-            seen[i] = (_trial_inputs(raw[j * width : (j + 1) * width], n, klen, limit), atom)
+            seen[i] = (_trial_inputs(raw[j * width : (j + 1) * width], n, klen, limit),
+                       {"z": _word(z, j), "zhat": _word(zhat, j), "wrong": bool(wrong[j])})
 
     _check_replays(spec, code, n, klen, "Monte Carlo trial", ((i, *seen[i]) for i in replayed))
     # The larger distance from p_hat to an end of its z = 3 Wilson score interval.
@@ -667,21 +651,14 @@ def monte_carlo_error(
     return MonteCarloError(trials=trials, errors=errors, p_err=p_hat, half_width_3sigma=half_width)
 
 
-def _batch_inputs(rows: np.ndarray, n: int, klen: int, limit: int):
-    """(x, z, k) of the trials whose bytes are the rows of `rows`, as little-endian
-    word rows of 32-bit words."""
+def _batch_noise(rows: np.ndarray, n: int, limit: int) -> np.ndarray:
+    """Noise words of the trials whose bytes are the rows of `rows`, as
+    little-endian 64-bit word rows."""
     xbytes = 4 * -(-n // 32)
     flips = rows[:, xbytes : xbytes + 8 * n].view("<u8") < np.uint64(limit)
-    noise = np.zeros((len(rows), xbytes), dtype=np.uint8)
+    noise = np.zeros((len(rows), 8 * -(-n // 64)), dtype=np.uint8)
     noise[:, : -(-n // 8)] = np.packbits(flips, axis=1, bitorder="little")
-    return _low_bits(rows[:, :xbytes], n), noise.view("<u4"), _low_bits(rows[:, xbytes + 8 * n :], klen)
-
-
-def _low_bits(octets: np.ndarray, nbits: int) -> np.ndarray:
-    """Byte rows as little-endian 32-bit word rows that keep their low `nbits` bits."""
-    words = octets.copy().view("<u4")
-    words[:, nbits // 32 :] &= np.uint32((1 << nbits % 32) - 1)
-    return words
+    return noise.view("<u8")
 
 
 def _trial_inputs(row: bytes, n: int, klen: int, limit: int) -> tuple[int, int, int]:
@@ -691,6 +668,17 @@ def _trial_inputs(row: bytes, n: int, klen: int, limit: int) -> tuple[int, int, 
     z = sum(1 << i for i in range(n)
             if int.from_bytes(row[xbytes + 8 * i : xbytes + 8 * i + 8], "little") < limit)
     return x, x ^ z, int.from_bytes(row[xbytes + 8 * n :], "little") & ((1 << klen) - 1)
+
+
+def _batch_decoder(parity: tuple[int, ...], leaders: np.ndarray | None, n: int):
+    """The map from noise words z, little-endian 64-bit word rows, to their
+    decoded sums in the same layout: the leader of the syndrome H·z, where
+    `parity` holds the rows of H, or z itself when uncoded (`leaders` None).
+    A coded z is one word, since the leader table needs n <= 63."""
+    if leaders is None:
+        return _identity
+    syndrome = partial(_batch_syndromes, _syndrome_tables(parity, n))
+    return lambda z: leaders[syndrome(z)].astype(z.dtype)[:, None]
 
 
 def _syndrome_tables(rows: tuple[int, ...], n: int) -> np.ndarray:
@@ -705,9 +693,7 @@ def _batch_syndromes(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(tables[np.arange(len(tables)), octets], axis=1)
 
 
-def _word(column: np.ndarray, j: int) -> int:
-    """Entry j of a column of packed values or of little-endian word rows."""
-    if column.ndim == 1:
-        return int(column[j])
-    return int.from_bytes(column[j].tobytes(), "little")
+def _word(words: np.ndarray, j: int) -> int:
+    """Row j of little-endian word rows, as one int."""
+    return int.from_bytes(words[j].tobytes(), "little")
 

@@ -148,8 +148,8 @@ def _check(key: str, values: list, ok, need: str) -> list:
 
 
 def _flip_rates(raw: dict, sweep: bool) -> list[float]:
-    ps = _values(raw, "p", float, sweep)
-    return _check("p", ps, lambda p: 0.0 <= p <= 0.5, "lie in [0, 1/2]")
+    ps = _check("p", _values(raw, "p", float, sweep), lambda p: 0.0 <= p <= 0.5, "lie in [0, 1/2]")
+    return [abs(p) for p in ps]  # abs() turns -0.0 into the rate 0.0
 
 
 def _count(raw: dict, key: str, default: int) -> int:
@@ -188,7 +188,8 @@ def _quad(raw: dict) -> tuple[float, float, float, float]:
         raise ConfigurationError(f"--quad needs four comma-separated rates, got {len(parts)}")
     if any(v < 0.0 for v in parts):
         raise ConfigurationError("rates cannot be negative")
-    return tuple(parts)  # type: ignore[return-value]
+    # abs() turns -0.0 into the rate 0.0.
+    return tuple(abs(v) for v in parts)  # type: ignore[return-value]
 
 
 def _instance_row(protocol: str, n: int, m: int, p: float, master_seed: int,

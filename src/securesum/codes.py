@@ -8,7 +8,7 @@ from random import Random
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector, random_matrix, span_table
+from .gf2 import Gf2Matrix, Gf2Vector, column, random_matrix, span_table
 
 __all__ = [
     "LinearCode",
@@ -88,8 +88,7 @@ def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
     n, m = matrix.cols, matrix.m
     if n > WORD_GUARD_BITS:
         raise CapacityError(f"leader words are packed in int64, so n <= {WORD_GUARD_BITS}; got n={n}")
-    cols = np.array([sum(((row >> (n - 1 - j)) & 1) << i for i, row in enumerate(matrix.rows))
-                     for j in range(n)], dtype=np.int64)
+    cols = np.array([column(matrix.rows, n - 1 - j) for j in range(n)], dtype=np.int64)
     empty = np.iinfo(np.int64).max  # above every leader, whose weight is <= m < 63
     rev = np.full(1 << m, empty, dtype=np.int64)
     rev[0] = 0

@@ -165,9 +165,13 @@ def span_table(rows: Iterable[int], cols: int) -> np.ndarray:
     rows = list(rows)
     table = np.zeros(1 << cols, dtype=np.int64)
     for j in range(cols):
-        col = sum(((row >> j) & 1) << i for i, row in enumerate(rows))
-        np.bitwise_xor(table[: 1 << j], col, out=table[1 << j : 2 << j])
+        np.bitwise_xor(table[: 1 << j], column(rows, j), out=table[1 << j : 2 << j])
     return table
+
+
+def column(rows: Iterable[int], j: int) -> int:
+    """Column j of the matrix with these packed rows, packed: bit i is bit j of row i."""
+    return sum(((row >> j) & 1) << i for i, row in enumerate(rows))
 
 
 def random_matrix(m: int, n: int, rng: Random) -> Gf2Matrix:

@@ -355,23 +355,23 @@ def test_monte_carlo_self_checks_catch_faults(monkeypatch):
         patch.setattr(analysis, "_syndrome_tables", lambda rows, n: tables(rows[:-1], n))
         with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
             monte_carlo_error("plain-km", code, params, 500, Random(1))
-    inputs = analysis._batch_inputs
+    noise = analysis._batch_noise
 
-    def short_noise(rows, n, klen, limit):
-        x, z, k = inputs(rows, n, klen, limit)
-        z[:, (n - 1) // 32] &= np.uint32((1 << (n - 1) % 32) - 1)  # clears bit n - 1
-        return x, z, k
+    def short_noise(rows, n, limit):
+        z = noise(rows, n, limit)
+        z[:, (n - 1) // 64] &= np.uint64((1 << (n - 1) % 64) - 1)  # clears bit n - 1
+        return z
 
     with monkeypatch.context() as patch:
         # Noise packed one bit short: the batch stays self-consistent, so only the
         # replays' own reading of the row bytes catches it.
-        patch.setattr(analysis, "_batch_inputs", short_noise)
+        patch.setattr(analysis, "_batch_noise", short_noise)
         with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
             monte_carlo_error("secure-km", code, params, 500, Random(1))
 
 
-def test_both_batch_engines_share_one_kernel(monkeypatch):
-    # A kernel whose m23 forgets the key is caught by the replays of both callers.
+def test_oracle_kernel_is_checked_by_replay(monkeypatch):
+    # A kernel whose m23 forgets the key is caught by the oracle's replays.
     honest = analysis._batch_run
 
     def unmasked_m23(syndrome, decode, x, y, k):
@@ -383,8 +383,41 @@ def test_both_batch_engines_share_one_kernel(monkeypatch):
     for protocol, arg in (("secure-km", code), ("zero-error-otp", None)):
         with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
             enumerate_joint(protocol, arg, DsbsParams(p=0.2, n=6))
+
+
+def test_both_engines_catch_a_fault_in_the_shared_decoder(monkeypatch):
+    # The affine engine and Monte Carlo decode through one batch decoder; a
+    # decoder that flips bit 0 of every leader it returns is caught by both.
+    honest = analysis._batch_decoder
+
+    def flipped(parity, leaders, n):
+        decode = honest(parity, leaders, n)
+        return lambda z: decode(z) ^ 1
+
+    monkeypatch.setattr(analysis, "_batch_decoder", flipped)
+    code = build_code(6, 4, seed=1)
+    for protocol in ("secure-km", "plain-km"):
         with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
-            monte_carlo_error(protocol, arg, DsbsParams(p=0.2, n=6), 300, Random(2))
+            affine_joint(protocol, code, DsbsParams(p=0.2, n=6))
+        with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
+            monte_carlo_error(protocol, code, DsbsParams(p=0.2, n=6), 300, Random(2))
+
+
+def test_monte_carlo_replay_compares_by_name(monkeypatch):
+    # A Monte Carlo trial hands over z, zhat and whether it is wrong by name;
+    # with z and zhat swapped, a replayed trial that errs is caught.
+    code = build_code(8, 2, seed=5)
+    params = DsbsParams(p=0.4, n=8)
+    assert monte_carlo_error("plain-km", code, params, 1000, Random(6)).errors > 0
+    honest = analysis._check_replays
+
+    def swapped(spec, code, n, klen, what, atoms):
+        return honest(spec, code, n, klen, what, ((label, inputs, {**v, "z": v["zhat"], "zhat": v["z"]})
+                                                  for label, inputs, v in atoms))
+
+    monkeypatch.setattr(analysis, "_check_replays", swapped)
+    with pytest.raises(RuntimeError, match="Monte Carlo trial .* disagrees with protocol replay"):
+        monte_carlo_error("plain-km", code, params, 1000, Random(6))
 
 
 def test_enumeration_guard():
@@ -675,16 +708,22 @@ def test_every_variable_set_lands_in_a_case_the_engine_has():
                     _reference_entropy(joint, noise_entropy, subset), abs=1e-10), (protocol, joint.m, p, subset)
 
 
-def test_noise_entropy_groups_any_function_of_the_syndrome():
-    # No named set needs the grouping of P(s) by a key that loses s, so it is
-    # checked on noise rows made up for it, over z | zhat << n.
+def test_noise_entropy_refuses_a_function_that_loses_the_syndrome():
+    # No named set is a function of the syndrome s that loses s (the test above
+    # covers every set), so the engine refuses one. Noise rows made up over
+    # z | zhat << n check both sides: rows that lose s raise, rows that give s
+    # back match the noise-word sum.
     n = 9
     code = build_code(n, 5, seed=4)
     h0, h1 = code.matrix.rows[:2]
     joint = affine_joint("plain-km", code, DsbsParams(p=0.15, n=n))
-    noise_entropy = _noise_word_sum(joint)
     for noise in ([1 << n], [h0], [h0 | 1 << (n + 2)], [h0, h1 ^ 0b101 << n],
                   [1 << (n + j) for j in range(n - 1)]):
+        with pytest.raises(CapacityError, match="loses it"):
+            joint._noise_entropy(echelon(noise))
+    noise_entropy = _noise_word_sum(joint)
+    for noise in (code.matrix.rows, [h0, *(row << n for row in code.matrix.rows[1:])],
+                  [1 << (n + j) for j in range(n)]):
         noise = echelon(noise)
         assert joint._noise_entropy(noise) == pytest.approx(noise_entropy(noise), abs=1e-10), noise
     # A z-part outside the row space of H is not a function of the syndrome.
@@ -715,8 +754,8 @@ def test_syndrome_law_matches_the_syndrome_table(monkeypatch):
 
 
 def test_affine_engine_replay_catches_an_atom_out_of_order(monkeypatch):
-    # An engine hands over its atom as a prefix of the replay's tuple, so a
-    # value in the wrong place is caught even when every value is right.
+    # An engine hands over its values by name, so a value under the wrong
+    # name is caught even when every value is right.
     honest = analysis._evaluate
 
     def swapped(*args):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -505,6 +506,96 @@ def test_sweep_config_takes_a_scalar_for_a_list_option(tmp_path):
     from_flag = _run_main(point + ["--n", "6"])
     assert from_flag[0] == 0
     assert _run_main(point + ["--config", str(cfg)]) == from_flag
+
+
+def test_negative_zero_flip_rate_is_zero(tmp_path):
+    # -0 passes the [0, 1/2] check; it names the rate 0, so the same seed and code.
+    commands = (
+        ["simulate", "--protocol", "secure-km", "--n", "6", "--m", "3", "--trials", "500"],
+        ["sweep", "--protocol", "secure-km,plain-km", "--n", "6", "--rate", "0.5",
+         "--mode", "both", "--trials", "300"],
+        ["region", "--quad", "0.5,0.5,0.5,0.5"],
+    )
+    for argv in commands:
+        zero = _run_main(argv + ["--p", "0"])
+        assert zero[0] == 0 and "p=-0.0" not in zero[1]
+        assert _run_main(argv + ["--p=-0"]) == zero, argv
+    sweep = commands[1]
+    assert _run_main(sweep + ["--p=-0,0"]) == _run_main(sweep + ["--p", "0"])
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"p": -0.0}))
+    assert _run_main(commands[0] + ["--config", str(cfg)]) == _run_main(commands[0] + ["--p", "0"])
+    # A quadruple's -0 is the rate 0 too.
+    assert _run_main(["region", "--quad=-0,1,1,1", "--p", "0.1"]) == _run_main(
+        ["region", "--quad", "0,1,1,1", "--p", "0.1"])
+
+
+# SHA-256 of the stdout of Monte Carlo command lines under the CSV v2 trial
+# layout: a change to how trials are read or decoded that moves any byte of
+# an estimate shows here.
+MONTE_CARLO_STDOUT_SHA256 = [
+    pytest.param("simulate --protocol zero-error-otp --n 70 --p 0.1 --trials 3000",
+                 "3c5a2529571f05caa1c693f1e9471c3c78fc40404435c299edb388a36e1392b5", id="otp-70"),
+    pytest.param("simulate --protocol secure-km --n 63 --m 20 --p 0.05 --trials 20000",
+                 "1fa1c2c2c68a716c443e3be6bb8c9e911c0e6fcf076b411864227192ba6f419f", id="secure-km-63-20"),
+    pytest.param("simulate --protocol plain-km --n 40 --m 24 --p 0.2 --trials 5000",
+                 "2e872fc6ab2aa25be1537cbd1eeb5f1812ed5088f3bcb9a0ab7177cddca29767", id="plain-km-40-24"),
+    pytest.param("sweep --protocol secure-km,plain-km,zero-error-otp --n 1,5,33 --rate 0.5"
+                 " --p 0,0.5,0.07 --mode both --trials 777 --seeds 2",
+                 "af25e356e5f94f115d923af6db84e6c5569cb15613a820eee5141f443ff5c836", id="sweep"),
+]
+
+
+@pytest.mark.parametrize("line, digest", MONTE_CARLO_STDOUT_SHA256)
+def test_monte_carlo_stdout_bytes_are_pinned(line, digest):
+    rc, out, err = _run_main(line.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_negative_zero_flip_rate_is_zero(tmp_path):
+    # -0 passes the [0, 1/2] check; it names the rate 0, so the same seed and code.
+    commands = (
+        ["simulate", "--protocol", "secure-km", "--n", "6", "--m", "3", "--trials", "500"],
+        ["sweep", "--protocol", "secure-km,plain-km", "--n", "6", "--rate", "0.5",
+         "--mode", "both", "--trials", "300"],
+        ["region", "--quad", "0.5,0.5,0.5,0.5"],
+    )
+    for argv in commands:
+        zero = _run_main(argv + ["--p", "0"])
+        assert zero[0] == 0 and "p=-0.0" not in zero[1]
+        assert _run_main(argv + ["--p=-0"]) == zero, argv
+    sweep = commands[1]
+    assert _run_main(sweep + ["--p=-0,0"]) == _run_main(sweep + ["--p", "0"])
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"p": -0.0}))
+    assert _run_main(commands[0] + ["--config", str(cfg)]) == _run_main(commands[0] + ["--p", "0"])
+    # A quadruple's -0 is the rate 0 too.
+    assert _run_main(["region", "--quad=-0,1,1,1", "--p", "0.1"]) == _run_main(
+        ["region", "--quad", "0,1,1,1", "--p", "0.1"])
+
+
+# SHA-256 of the stdout of Monte Carlo command lines under the CSV v2 trial
+# layout: a change to how trials are read or decoded that moves any byte of
+# an estimate shows here.
+MONTE_CARLO_STDOUT_SHA256 = {
+    "simulate --protocol zero-error-otp --n 70 --p 0.1 --trials 3000":
+        "3c5a2529571f05caa1c693f1e9471c3c78fc40404435c299edb388a36e1392b5",
+    "simulate --protocol secure-km --n 63 --m 20 --p 0.05 --trials 20000":
+        "1fa1c2c2c68a716c443e3be6bb8c9e911c0e6fcf076b411864227192ba6f419f",
+    "simulate --protocol plain-km --n 40 --m 24 --p 0.2 --trials 5000":
+        "2e872fc6ab2aa25be1537cbd1eeb5f1812ed5088f3bcb9a0ab7177cddca29767",
+    "sweep --protocol secure-km,plain-km,zero-error-otp --n 1,5,33 --rate 0.5 --p 0,0.5,0.07"
+    " --mode both --trials 777 --seeds 2":
+        "af25e356e5f94f115d923af6db84e6c5569cb15613a820eee5141f443ff5c836",
+}
+
+
+@pytest.mark.parametrize("line", list(MONTE_CARLO_STDOUT_SHA256))
+def test_monte_carlo_stdout_bytes_are_pinned(line):
+    rc, out, err = _run_main(line.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == MONTE_CARLO_STDOUT_SHA256[line]
 
 
 def test_sweep_without_n_is_usage_error():
