@@ -2,18 +2,13 @@
 
 from .analysis import (
     AffineJoint,
-    JointPmf,
     LeakageReport,
-    Lemma1Report,
     MonteCarloError,
     RateReport,
     affine_joint,
-    check_lemma1,
     check_rate_region,
     conditional_entropy,
     conditional_mutual_information,
-    enumerate_joint,
-    entropy,
     leakage_report,
     monte_carlo_error,
     rate_report,
@@ -25,7 +20,7 @@ from .codes import (
     exact_error_probability,
 )
 from .errors import CapacityError, ConfigurationError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector, random_matrix, random_vector
+from .gf2 import Gf2Matrix, Gf2Vector, random_matrix
 from .protocol import (
     Message,
     PartyId,
@@ -33,23 +28,22 @@ from .protocol import (
     Transcript,
     run_plain_km,
     run_secure_km,
-    run_with_sampling,
     run_zero_error_otp,
 )
-from .source import DsbsParams, binary_entropy, pair_probability, sample_pair
+from .source import DsbsParams, binary_entropy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Gf2Vector", "Gf2Matrix", "random_matrix", "random_vector",
-    "DsbsParams", "sample_pair", "pair_probability", "binary_entropy",
+    "Gf2Vector", "Gf2Matrix", "random_matrix",
+    "DsbsParams", "binary_entropy",
     "LinearCode", "build_code", "code_from_matrix",
     "exact_error_probability",
     "PartyId", "Message", "Transcript", "RunOutcome",
-    "run_secure_km", "run_plain_km", "run_zero_error_otp", "run_with_sampling",
-    "AffineJoint", "JointPmf", "LeakageReport", "RateReport", "Lemma1Report", "MonteCarloError",
-    "affine_joint", "enumerate_joint", "entropy", "conditional_entropy", "conditional_mutual_information",
-    "leakage_report", "rate_report", "check_rate_region", "check_lemma1", "monte_carlo_error",
+    "run_secure_km", "run_plain_km", "run_zero_error_otp",
+    "AffineJoint", "LeakageReport", "RateReport", "MonteCarloError",
+    "affine_joint", "conditional_entropy", "conditional_mutual_information",
+    "leakage_report", "rate_report", "check_rate_region", "monte_carlo_error",
     "ContractViolation", "CapacityError", "ConfigurationError",
 ]

@@ -1,26 +1,23 @@
 """Exact joint-distribution accounting for protocol runs.
 
-Two exact engines answer the same entropy queries. `affine_joint` uses the
-affine structure of the protocols: every variable is a linear function of the
-uniform (x, k) plus a function of the noise word z = x xor y alone, so a joint
-entropy is a rank plus the entropy of a function of z, which is 0, H(z), or
-a function of the syndrome of z grouped over its 2^m values. `enumerate_joint`
-is the oracle: it walks every (x, y, k) combination, replays the protocol
-algebra on all of them at once, and returns the exact joint pmf of inputs,
-messages, and output. Privacy and conditional-entropy quantities are only ever
-computed exactly; sampling is used for error rates alone.
+`affine_joint` uses the affine structure of the protocols: every variable is a
+linear function of the uniform (x, k) plus a function of the noise word
+z = x xor y alone, so a joint entropy is a rank plus the entropy of a function
+of z, which is 0, H(z), or a function of the syndrome of z grouped over its
+2^m values. Privacy and conditional-entropy quantities are only ever computed
+exactly; sampling is used for error rates alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from random import Random
 from typing import Sequence
 
 import numpy as np
 
-from .codes import ENUMERATION_GUARD_BITS, TABLE_GUARD_BITS, WORD_GUARD_BITS, LinearCode
+from .codes import TABLE_GUARD_BITS, WORD_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
 from .gf2 import Gf2Vector, column, echelon, span_table
 from .protocol import (
@@ -32,27 +29,21 @@ from .protocol import (
     check_instance,
     run_plain_km,
     run_secure_km,
-    run_with_sampling,  # noqa: F401 - perfbench/tracing.py wraps the name in this module
     run_zero_error_otp,
 )
 from .source import DsbsParams, binary_entropy
 
 __all__ = [
     "AffineJoint",
-    "JointPmf",
     "LeakageReport",
     "RateReport",
-    "Lemma1Report",
     "MonteCarloError",
     "affine_joint",
-    "enumerate_joint",
-    "entropy",
     "conditional_entropy",
     "conditional_mutual_information",
     "leakage_report",
     "rate_report",
     "check_rate_region",
-    "check_lemma1",
     "monte_carlo_error",
     "REGION_SLACK",
 ]
@@ -61,10 +52,6 @@ __all__ = [
 REGION_SLACK = 1e-9
 
 _CHUNK = 1 << 20
-_BINCOUNT_MAX_BITS = 22
-
-# Tolerance of the exact zero-error checks of Lemma 1.
-_LEMMA1_TOL = 1e-10
 
 # The variables of one run, in column order.
 _VARIABLES = ("x", "y", "z", "k", "m12", "m13", "m23", "zhat")
@@ -76,54 +63,6 @@ _GOLDEN_64 = 0x9E3779B97F4A7C15
 # Generator bytes drawn per Monte Carlo batch, which bounds the batch's memory
 # whatever the trial count or block length.
 _MC_BATCH_BYTES = 1 << 15
-
-
-@dataclass(eq=False)
-class JointPmf:
-    """Exact joint pmf over (x, y, k, per-link payloads, zhat), one atom each.
-
-    Columns hold the packed integer value of each variable per atom; `widths`
-    gives the bit width of every variable. The variable name "transcript"
-    may be used anywhere a variable set is accepted and expands to the
-    schedule-ordered link payloads.
-    """
-
-    protocol: str
-    n: int
-    m: int
-    p: float
-    widths: dict[str, int]
-    columns: dict[str, np.ndarray]
-    probs: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.probs)
-
-    def total(self) -> float:
-        return float(self.probs.sum())
-
-    def entropy(self, variables) -> float:
-        """Exact joint entropy (bits) of a set of atom variables."""
-        key = _expand(self.protocol, self.widths, variables)
-        if key in self._cache:
-            return self._cache[key]
-        bits = sum(self.widths[name] for name in key)
-        if bits > 64:
-            raise CapacityError(f"joint key of {', '.join(key)} needs {bits} bits, limit is 64")
-        comp = None
-        shift = 0
-        for name in key:
-            w = self.widths[name]
-            if w == 0:
-                continue
-            col = self.columns[name].astype(np.int64) << shift
-            comp = col if comp is None else comp | col
-            shift += w
-        h = 0.0 if comp is None else _grouped_entropy(comp, shift, self.probs)
-        self._cache[key] = h
-        return h
 
 
 def _expand(protocol: str, widths: dict[str, int], variables) -> tuple[str, ...]:
@@ -139,16 +78,6 @@ def _expand(protocol: str, widths: dict[str, int], variables) -> tuple[str, ...]
     return tuple(sorted(set(names)))
 
 
-def _grouped_entropy(keys: np.ndarray, bits: int, probs: np.ndarray) -> float:
-    """Entropy (bits) of the `bits`-bit label `keys`, where entry i has mass probs[i]."""
-    if bits <= _BINCOUNT_MAX_BITS:
-        grouped = np.bincount(keys, weights=probs, minlength=1 << bits)
-    else:
-        _, inverse = np.unique(keys, return_inverse=True)
-        grouped = np.bincount(inverse, weights=probs)
-    return _plogp(grouped)
-
-
 @dataclass(eq=False)
 class AffineJoint:
     """Exact joint law of (x, y, z, k, per-link payloads, zhat) from its affine form.
@@ -157,8 +86,7 @@ class AffineJoint:
     independent of the noise word z = x xor y, and zhat depends on z alone.
     Given z, a variable set V is uniform on a coset of the image of A_V, so
     H(V) = rank(A_V) + H(B_V·(z, zhat)), where the rows of B_V span the
-    combinations of V's bits that cancel (x, k). Same entropy interface as
-    `JointPmf`.
+    combinations of V's bits that cancel (x, k).
 
     `rows[name]` holds one packed row per bit of the variable over the word
     z | zhat << n | x << 2n | k << 3n, so the (x, k) part sits in the high bits
@@ -272,81 +200,26 @@ def _plogp(probs: np.ndarray) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def entropy(pmf: JointPmf | AffineJoint, variables) -> float:
-    return pmf.entropy(variables)
-
-
 def _names(variables) -> tuple[str, ...]:
     """A variable set as a tuple of names: one name, or an iterable of them."""
     return (variables,) if isinstance(variables, str) else tuple(variables)
 
 
-def conditional_entropy(pmf: JointPmf | AffineJoint, target, given=()) -> float:
+def conditional_entropy(pmf: AffineJoint, target, given=()) -> float:
     """H(target | given) = H(target, given) - H(given)."""
     given = _names(given)
     return pmf.entropy(_names(target) + given) - pmf.entropy(given)
 
 
-def conditional_mutual_information(pmf: JointPmf | AffineJoint, a, b, given=()) -> float:
+def conditional_mutual_information(pmf: AffineJoint, a, b, given=()) -> float:
     """I(a; b | given), exact up to floating-point cancellation."""
     a, b, c = _names(a), _names(b), _names(given)
     return pmf.entropy(a + c) + pmf.entropy(b + c) - pmf.entropy(a + b + c) - pmf.entropy(c)
 
 
-def enumerate_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> JointPmf:
-    """Exhaustive pmf over every (x, y, k); one atom per combination.
-
-    A spread sample of atoms is replayed through the message-passing engine
-    on every call, so the vectorised algebra cannot drift from the protocols
-    it claims to summarise.
-    """
-    n = params.n
-    spec, mlen, klen = check_instance(protocol_id, code, n)
-    if spec.coded:
-        syndrome, decode = code.syndrome_table().take, code.leaders.take
-    else:
-        syndrome = decode = _identity
-    total_bits = 2 * n + klen
-    if total_bits > ENUMERATION_GUARD_BITS:
-        raise CapacityError(
-            f"joint pmf needs 2^{total_bits} = {1 << total_bits} atoms, guard is 2^{ENUMERATION_GUARD_BITS}"
-        )
-    size = 1 << total_bits
-    widths = dict(zip(_VARIABLES, (n, n, n, klen, klen, mlen, mlen, n)))
-    columns = {name: np.empty(size, dtype=np.int32) for name in _VARIABLES}
-    probs = np.empty(size, dtype=np.float64)
-    differ, agree = params.p / 2.0, (1.0 - params.p) / 2.0
-    ptable = np.array([differ**d * agree ** (n - d) for d in range(n + 1)]) * 0.5**klen
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        x, y, k = _split(np.arange(lo, hi, dtype=np.int64), n, klen)
-        m13, m23, zhat = _batch_run(syndrome, decode, x, y, k)
-        # In `_VARIABLES` order: z = x xor y, and m12 carries k.
-        for col, values in zip(columns.values(), (x, y, x ^ y, k, k, m13, m23, zhat)):
-            col[lo:hi] = values
-        probs[lo:hi] = ptable[np.bitwise_count(x ^ y)]
-    _check_replays(spec, code, n, klen, "enumerated atom", (
-        (i, _split(i, n, klen), {name: int(col[i]) for name, col in columns.items()})
-        for i in _spread(size)))
-    return JointPmf(protocol=protocol_id, n=n, m=mlen, p=params.p,
-                    widths=widths, columns=columns, probs=probs)
-
-
 def _split(index, n: int, klen: int):
     """(x, y, k) of an atom index (x << n | y) << klen | k, or of an array of them."""
     return index >> (klen + n), (index >> klen) & ((1 << n) - 1), index & ((1 << klen) - 1)
-
-
-def _batch_run(syndrome, decode, x, y, k):
-    """(m13, m23, zhat) of a batch of runs: the protocol algebra of the oracle
-    `enumerate_joint` alone, which keeps its own syndrome and leader lookups
-    apart from the batch decoder the other engines share.
-
-    syndrome is the syndrome lookup of a coded protocol and decode its leader
-    lookup, both the identity for an uncoded one; k is 0 for an unmasked one.
-    """
-    m13, m23 = k ^ syndrome(x), k ^ syndrome(y)
-    return m13, m23, decode(m13 ^ m23)
 
 
 def _identity(words):
@@ -498,7 +371,7 @@ class LeakageReport:
     eps4: float
 
 
-def leakage_report(pmf: JointPmf | AffineJoint) -> LeakageReport:
+def leakage_report(pmf: AffineJoint) -> LeakageReport:
     n = pmf.n
     return LeakageReport(
         eps1=conditional_mutual_information(pmf, ("m13", "m12"), "y", "x") / n,
@@ -522,7 +395,7 @@ class RateReport:
         return (self.r13, self.r23, self.r12, self.rho)
 
 
-def rate_report(pmf: JointPmf | AffineJoint) -> RateReport:
+def rate_report(pmf: AffineJoint) -> RateReport:
     n = pmf.n
     return RateReport(
         r13=pmf.widths["m13"] / n,
@@ -539,53 +412,6 @@ def check_rate_region(quad: Sequence[float], p: float) -> bool:
     if len(values) != 4:
         raise ContractViolation(f"need a quadruple, got {len(values)} values")
     return min(values) >= binary_entropy(p) - REGION_SLACK
-
-
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Zero-error structure checks for the uncoded one-time-pad scheme."""
-
-    h_x_given_alice_links: float
-    h_y_given_bob_links: float
-    i_link12_inputs: float
-    i_link13_inputs: float
-    i_link23_inputs: float
-
-    @property
-    def x_recoverable(self) -> bool:
-        return abs(self.h_x_given_alice_links) <= _LEMMA1_TOL
-
-    @property
-    def y_recoverable(self) -> bool:
-        return abs(self.h_y_given_bob_links) <= _LEMMA1_TOL
-
-    @property
-    def link12_independent(self) -> bool:
-        return abs(self.i_link12_inputs) <= _LEMMA1_TOL
-
-    @property
-    def link13_independent(self) -> bool:
-        return abs(self.i_link13_inputs) <= _LEMMA1_TOL
-
-    @property
-    def link23_independent(self) -> bool:
-        return abs(self.i_link23_inputs) <= _LEMMA1_TOL
-
-    @property
-    def all_hold(self) -> bool:
-        return all(abs(v) <= _LEMMA1_TOL for v in astuple(self))
-
-
-def check_lemma1(pmf: JointPmf | AffineJoint) -> Lemma1Report:
-    """Five exact conditions: x and y recoverable from their owners' links,
-    and every single link statistically independent of the input pair."""
-    return Lemma1Report(
-        h_x_given_alice_links=conditional_entropy(pmf, "x", ("m12", "m13")),
-        h_y_given_bob_links=conditional_entropy(pmf, "y", ("m12", "m23")),
-        i_link12_inputs=conditional_mutual_information(pmf, "m12", ("x", "y")),
-        i_link13_inputs=conditional_mutual_information(pmf, "m13", ("x", "y")),
-        i_link23_inputs=conditional_mutual_information(pmf, "m23", ("x", "y")),
-    )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cache
@@ -15,7 +16,6 @@ from statistics import fmean
 from .analysis import (
     affine_joint,
     check_rate_region,
-    enumerate_joint,  # noqa: F401 - perfbench/tracing.py wraps the name in this module
     leakage_report,
     monte_carlo_error,
     rate_report,
@@ -362,6 +362,24 @@ _HELP = {
 }
 
 
+# The flags that take a value. argparse before Python 3.13 reads a value that
+# starts with "-" and is not a plain negative number, such as the list "-0,0",
+# as an unknown option; attached as "--p=-0,0" it is read as the value it is.
+_VALUE_FLAGS = frozenset(f"--{key}" for key in ("config", *_HELP) if key != "aggregate")
+_DASH_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """argv with each value that starts with "-" and a digit joined to its flag by "="."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and _DASH_VALUE.match(arg):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -388,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     # Looked up per call, so a cmd_* replaced on this module after the parser was built still runs.
     command = globals()[f"cmd_{args.command}"]
     try:

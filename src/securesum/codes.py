@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector, column, random_matrix, span_table
+from .gf2 import Gf2Matrix, Gf2Vector, column, random_matrix
 
 __all__ = [
     "LinearCode",
@@ -18,7 +18,6 @@ __all__ = [
     "m_for_rate",
     "TABLE_GUARD_BITS",
     "WORD_GUARD_BITS",
-    "ENUMERATION_GUARD_BITS",
 ]
 
 # Leader tables hold 2**m entries; refuse anything beyond this.
@@ -26,9 +25,6 @@ TABLE_GUARD_BITS = 24
 
 # Leader words are packed in int64, so codes stop at this length.
 WORD_GUARD_BITS = 63
-
-# Syndrome tables walk 2**n words; refuse beyond this.
-ENUMERATION_GUARD_BITS = 24
 
 
 # The leader search reads the table in blocks of `_BLOCK` syndromes and
@@ -123,7 +119,6 @@ class LinearCode:
     matrix: Gf2Matrix
     seed: int | None
     leaders: np.ndarray
-    _syndrome_table: np.ndarray | None = field(default=None, repr=False)
 
     def syndrome(self, word: Gf2Vector) -> Gf2Vector:
         if word.n != self.n:
@@ -134,16 +129,6 @@ class LinearCode:
         if synd.n != self.m:
             raise ContractViolation(f"syndrome must have length {self.m}, got {synd.n}")
         return Gf2Vector(self.leaders.item(synd.bits), self.n)
-
-    def syndrome_table(self) -> np.ndarray:
-        """Cached packed syndrome of every word; 2**n entries."""
-        if self._syndrome_table is None:
-            if self.n > ENUMERATION_GUARD_BITS:
-                raise CapacityError(
-                    f"syndrome table needs 2^{self.n} entries, guard is 2^{ENUMERATION_GUARD_BITS}"
-                )
-            self._syndrome_table = span_table(self.matrix.rows, self.n)
-        return self._syndrome_table
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, m={self.m}, seed={self.seed})"

@@ -13,7 +13,6 @@ __all__ = [
     "Gf2Vector",
     "Gf2Matrix",
     "random_matrix",
-    "random_vector",
 ]
 
 
@@ -181,7 +180,3 @@ def random_matrix(m: int, n: int, rng: Random) -> Gf2Matrix:
     if m > n:
         raise ContractViolation(f"need m <= n, got m={m} > n={n}")
     return Gf2Matrix(tuple(rng.getrandbits(n) if n else 0 for _ in range(m)), n)
-
-
-def random_vector(n: int, rng: Random) -> Gf2Vector:
-    return Gf2Vector(rng.getrandbits(n) if n else 0, n)

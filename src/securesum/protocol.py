@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from random import Random
 from typing import NamedTuple
 
 from .codes import LinearCode
 from .errors import ConfigurationError, ContractViolation
-from .gf2 import Gf2Vector, random_vector
-from .source import DsbsParams, sample_pair
+from .gf2 import Gf2Vector
 
 __all__ = [
     "PartyId",
@@ -27,8 +25,6 @@ __all__ = [
     "run_secure_km",
     "run_plain_km",
     "run_zero_error_otp",
-    "run_with_sampling",
-    "output_from_transcript",
     "nominal_rates",
 ]
 
@@ -124,18 +120,6 @@ class Transcript:
         """Payload bits of one link concatenated in schedule order."""
         return self._links.get(_link(a, b), _NO_PAYLOAD)
 
-    @property
-    def l12(self) -> int:
-        return self.link_payload(ALICE, BOB).n
-
-    @property
-    def l13(self) -> int:
-        return self.link_payload(ALICE, CHARLIE).n
-
-    @property
-    def l23(self) -> int:
-        return self.link_payload(BOB, CHARLIE).n
-
 
 def _link(a: PartyId, b: PartyId) -> tuple[PartyId, PartyId]:
     """The key of the link between two parties: the pair in increasing order."""
@@ -152,14 +136,6 @@ def nominal_rates(protocol_id: str, n: int, m: int | None) -> tuple[float, float
         raise ConfigurationError(f"{protocol_id} needs a code")
     mlen, klen = spec.lengths(n, m)
     return (mlen / n, mlen / n, klen / n, klen / n)
-
-
-def output_from_transcript(protocol_id: str, transcript: Transcript, code: LinearCode | None = None) -> Gf2Vector:
-    """Charlie's output computed from the messages on his two links alone."""
-    spec = protocol_spec(protocol_id)
-    if spec.coded and code is None:
-        raise ConfigurationError(f"{protocol_id} needs a code to decode")
-    return _charlie_output(transcript, code if spec.coded else None)
 
 
 def _charlie_output(transcript: Transcript, code: LinearCode | None) -> Gf2Vector:
@@ -205,21 +181,4 @@ def run_zero_error_otp(x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) -> RunOutcome:
     transcript = Transcript((m12, m13, m23))
     z_hat = _charlie_output(transcript, None)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
-
-
-def run_with_sampling(
-    protocol_id: str,
-    params: DsbsParams,
-    code: LinearCode | None = None,
-    rng: Random | None = None,
-) -> RunOutcome:
-    """Sample (x, y) and any private randomness, then run the named protocol."""
-    spec, _, klen = check_instance(protocol_id, code, params.n)
-    if rng is None:
-        raise ContractViolation("an explicit rng is required")
-    x, y = sample_pair(params, rng)
-    k = random_vector(klen, rng) if spec.masked else None
-    if not spec.coded:
-        return run_zero_error_otp(x, y, k)
-    return run_secure_km(code, x, y, k) if spec.masked else run_plain_km(code, x, y)
 

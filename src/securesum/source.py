@@ -3,12 +3,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from random import Random
 
 from .errors import ContractViolation
-from .gf2 import Gf2Vector, random_vector
 
-__all__ = ["DsbsParams", "sample_pair", "pair_probability", "binary_entropy"]
+__all__ = ["DsbsParams", "binary_entropy"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,29 +21,6 @@ class DsbsParams:
             raise ContractViolation(f"p must lie in [0, 1/2], got {self.p}")
         if self.n < 1:
             raise ContractViolation(f"block length must be positive, got {self.n}")
-
-
-def sample_pair(params: DsbsParams, rng: Random) -> tuple[Gf2Vector, Gf2Vector]:
-    """Draw (x, y): x uniform, y = x xor z with z i.i.d. Bernoulli(p)."""
-    x = random_vector(params.n, rng)
-    noise = 0
-    for i in range(params.n):
-        if rng.random() < params.p:
-            noise |= 1 << i
-    return x, Gf2Vector(x.bits ^ noise, params.n)
-
-
-def pair_probability(params: DsbsParams, x: Gf2Vector, y: Gf2Vector) -> float:
-    """Exact joint probability of observing the pair (x, y)."""
-    if x.n != params.n or y.n != params.n:
-        raise ContractViolation(f"vectors must have length {params.n}, got {x.n} and {y.n}")
-    agree = (1.0 - params.p) / 2.0
-    differ = params.p / 2.0
-    diff = x.bits ^ y.bits
-    prob = 1.0
-    for i in range(params.n):
-        prob *= differ if (diff >> i) & 1 else agree
-    return prob
 
 
 def binary_entropy(q: float) -> float:

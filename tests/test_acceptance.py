@@ -12,14 +12,12 @@ from random import Random
 import numpy as np
 import pytest
 
+from oracles import JointPmf, check_lemma1, enumerate_joint
 from securesum.analysis import (
-    JointPmf,
     affine_joint,
-    check_lemma1,
     check_rate_region,
     conditional_entropy,
     conditional_mutual_information,
-    enumerate_joint,
     leakage_report,
     monte_carlo_error,
     rate_report,
@@ -27,7 +25,7 @@ from securesum.analysis import (
 from securesum.cli import derive_run_seed, main
 from securesum.codes import build_code, exact_error_probability, m_for_rate
 from securesum.gf2 import Gf2Vector
-from securesum.protocol import run_zero_error_otp
+from securesum.protocol import ALICE, BOB, CHARLIE, run_zero_error_otp
 from securesum.source import DsbsParams, binary_entropy
 
 MASTER_SEED = 20240818
@@ -83,8 +81,8 @@ def test_criterion_2_uncoded_pad_scheme_is_exact(tmp_path):
         for xb, yb, kb in product(range(1 << n), repeat=3):
             out = run_zero_error_otp(Gf2Vector(xb, n), Gf2Vector(yb, n), Gf2Vector(kb, n))
             assert out.correct and out.z_hat.bits == xb ^ yb
-            t = out.transcript
-            assert t.l12 == t.l13 == t.l23 == n
+            link = out.transcript.link_payload
+            assert link(ALICE, BOB).n == link(ALICE, CHARLIE).n == link(BOB, CHARLIE).n == n
             runs += 1
     for n, p in product((1, 2, 3), (0.0, 0.25, 0.5)):
         pmf = enumerate_joint("zero-error-otp", None, DsbsParams(p=p, n=n))

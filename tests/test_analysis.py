@@ -8,16 +8,14 @@ from random import Random
 import numpy as np
 import pytest
 
+import oracles
 import securesum.analysis as analysis
+from oracles import JointPmf, check_lemma1, enumerate_joint, pair_probability
 from securesum.analysis import (
-    JointPmf,
     affine_joint,
-    check_lemma1,
     check_rate_region,
     conditional_entropy,
     conditional_mutual_information,
-    enumerate_joint,
-    entropy,
     leakage_report,
     monte_carlo_error,
     rate_report,
@@ -27,7 +25,7 @@ from securesum.codes import LinearCode, build_code, code_from_matrix, exact_erro
 from securesum.errors import CapacityError, ConfigurationError, ContractViolation
 from securesum.gf2 import Gf2Matrix, Gf2Vector, echelon, span_table
 from securesum.protocol import check_instance, run_plain_km, run_secure_km, run_zero_error_otp
-from securesum.source import DsbsParams, binary_entropy, pair_probability
+from securesum.source import DsbsParams, binary_entropy
 
 FIXTURE = code_from_matrix(Gf2Matrix.from_rows([[1, 1, 0], [0, 1, 1]]))
 
@@ -67,13 +65,13 @@ def test_input_marginal_matches_source():
 
 def test_entropy_identities():
     pmf = _pmf("secure-km", 2, 1, 0.25)
-    assert entropy(pmf, "x") == pytest.approx(2.0, abs=1e-12)
-    assert entropy(pmf, "y") == pytest.approx(2.0, abs=1e-12)
-    assert entropy(pmf, "z") == pytest.approx(2 * H2_QUARTER, abs=1e-12)
+    assert pmf.entropy("x") == pytest.approx(2.0, abs=1e-12)
+    assert pmf.entropy("y") == pytest.approx(2.0, abs=1e-12)
+    assert pmf.entropy("z") == pytest.approx(2 * H2_QUARTER, abs=1e-12)
     # (x, y) <-> (x, z) is a bijection and z is independent of x
-    assert entropy(pmf, ("x", "y")) == pytest.approx(2.0 + 2 * H2_QUARTER, abs=1e-12)
-    assert entropy(pmf, ()) == 0.0
-    assert entropy(pmf, "k") == pytest.approx(1.0, abs=1e-12)
+    assert pmf.entropy(("x", "y")) == pytest.approx(2.0 + 2 * H2_QUARTER, abs=1e-12)
+    assert pmf.entropy(()) == 0.0
+    assert pmf.entropy("k") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mutual_information_of_the_source():
@@ -85,9 +83,9 @@ def test_mutual_information_of_the_source():
 
 def test_conditional_entropy_chain():
     pmf = _pmf("plain-km", 3, 2, 0.3)
-    hxy = entropy(pmf, ("x", "y"))
-    assert conditional_entropy(pmf, "x", "y") == pytest.approx(hxy - entropy(pmf, "y"), abs=1e-12)
-    assert conditional_entropy(pmf, "x") == pytest.approx(entropy(pmf, "x"), abs=1e-12)
+    hxy = pmf.entropy(("x", "y"))
+    assert conditional_entropy(pmf, "x", "y") == pytest.approx(hxy - pmf.entropy("y"), abs=1e-12)
+    assert conditional_entropy(pmf, "x") == pytest.approx(pmf.entropy("x"), abs=1e-12)
 
 
 def _random_pmf(rng: Random) -> JointPmf:
@@ -274,6 +272,8 @@ def test_monte_carlo_against_exact():
         monte_carlo_error("plain-km", FIXTURE, DsbsParams(p=0.1, n=4), 10, Random(0))
     with pytest.raises(ContractViolation, match="code length"):
         monte_carlo_error("zero-error-otp", FIXTURE, DsbsParams(p=0.1, n=4), 10, Random(0))
+    # An uncoded scheme ignores a code of the right length.
+    assert monte_carlo_error("zero-error-otp", FIXTURE, DsbsParams(p=0.3, n=3), 100, Random(0)).errors == 0
     with pytest.raises(ConfigurationError, match="unknown protocol"):
         monte_carlo_error("bogus", FIXTURE, DsbsParams(p=p, n=3), 10, Random(0))
     with pytest.raises(ConfigurationError, match="needs a code"):
@@ -371,14 +371,11 @@ def test_monte_carlo_self_checks_catch_faults(monkeypatch):
 
 
 def test_oracle_kernel_is_checked_by_replay(monkeypatch):
-    # A kernel whose m23 forgets the key is caught by the oracle's replays.
-    honest = analysis._batch_run
-
-    def unmasked_m23(syndrome, decode, x, y, k):
-        m13, m23, zhat = honest(syndrome, decode, x, y, k)
-        return m13, m23 ^ k, zhat
-
-    monkeypatch.setattr(analysis, "_batch_run", unmasked_m23)
+    # A kernel whose syndromes lose their top bit, or whose uncoded lookup
+    # flips bit 0 of every word, is caught by the oracle's replays.
+    tables = oracles.span_table
+    monkeypatch.setattr(oracles, "span_table", lambda rows, n: tables(rows[:-1], n))
+    monkeypatch.setattr(oracles, "_identity", lambda words: words ^ 1)
     code = build_code(6, 4, seed=1)
     for protocol, arg in (("secure-km", code), ("zero-error-otp", None)):
         with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
@@ -654,7 +651,7 @@ def _noise_word_sum(joint):
     def noise_entropy(noise):
         keys = span_table((row & zmask for row in noise), n)
         keys ^= span_table((row >> n for row in noise), n)[zhat]
-        return analysis._grouped_entropy(keys, len(noise), probs)
+        return oracles._grouped_entropy(keys, len(noise), probs)
 
     return noise_entropy
 
@@ -740,7 +737,7 @@ def test_syndrome_law_matches_the_syndrome_table(monkeypatch):
         for p in (0.0, 0.05, 0.25, 0.5):
             law = analysis._syndrome_law(code.matrix.rows, n, p)
             ptable = np.array([p**d * (1.0 - p) ** (n - d) for d in range(n + 1)])
-            expect = np.bincount(code.syndrome_table(), weights=ptable[np.bitwise_count(words)],
+            expect = np.bincount(span_table(code.matrix.rows, n), weights=ptable[np.bitwise_count(words)],
                                  minlength=1 << m)
             assert law.shape == (1 << m,)
             assert not np.isnan(law).any() and (law >= 0.0).all()

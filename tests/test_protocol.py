@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from oracles import sampled_run
 from securesum.codes import build_code, code_from_matrix
 from securesum.errors import ConfigurationError, ContractViolation
 from securesum.gf2 import Gf2Matrix, Gf2Vector
@@ -16,11 +17,10 @@ from securesum.protocol import (
     Message,
     PartyId,
     Transcript,
+    _charlie_output,
     nominal_rates,
-    output_from_transcript,
     run_plain_km,
     run_secure_km,
-    run_with_sampling,
     run_zero_error_otp,
 )
 from securesum.source import DsbsParams
@@ -31,6 +31,9 @@ X = Gf2Vector.from_bits([1, 0, 1])
 Y = Gf2Vector.from_bits([1, 1, 1])
 K = Gf2Vector.from_bits([0, 1])
 
+# The 1-2, 1-3 and 2-3 links.
+LINKS = ((PartyId.ALICE, PartyId.BOB), (PartyId.ALICE, PartyId.CHARLIE), (PartyId.BOB, PartyId.CHARLIE))
+
 
 def test_secure_km_worked_trace():
     out = run_secure_km(FIXTURE, X, Y, K)
@@ -39,14 +42,14 @@ def test_secure_km_worked_trace():
     assert out.transcript.link_payload(PartyId.BOB, PartyId.CHARLIE) == Gf2Vector.from_bits([0, 1])
     assert out.z_hat == Gf2Vector.from_bits([0, 1, 0]) == X ^ Y
     assert out.correct
-    assert (out.transcript.l12, out.transcript.l13, out.transcript.l23) == (2, 2, 2)
+    assert [out.transcript.link_payload(a, b).n for a, b in LINKS] == [2, 2, 2]
 
 
 def test_plain_km_worked_trace():
     out = run_plain_km(FIXTURE, X, Y)
     assert out.z_hat == Gf2Vector.from_bits([0, 1, 0])
     assert out.correct
-    assert out.transcript.l12 == 0
+    assert out.transcript.link_payload(PartyId.ALICE, PartyId.BOB).n == 0
     assert [m.round for m in out.transcript.messages] == [1, 1]
     assert out.transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE) == Gf2Vector.from_bits([1, 1])
     assert out.transcript.link_payload(PartyId.BOB, PartyId.CHARLIE) == Gf2Vector.from_bits([0, 0])
@@ -90,11 +93,9 @@ def test_mask_cancels_on_sampled_pairs():
     code = build_code(10, 6, seed=3)
     params = DsbsParams(p=0.3, n=10)
     rng = Random(42)
-    from securesum.source import sample_pair
-
     for _ in range(200):
-        x, y = sample_pair(params, rng)
-        plain = run_plain_km(code, x, y).z_hat
+        x, y, out = sampled_run("plain-km", params, code, rng)
+        plain = out.z_hat
         for kb in range(64):
             assert run_secure_km(code, x, y, Gf2Vector(kb, 6)).z_hat == plain
 
@@ -113,13 +114,13 @@ def test_output_uses_charlies_links_only():
     params = DsbsParams(p=0.2, n=6)
     rng = Random(8)
     for protocol in PROTOCOL_IDS:
-        out = run_with_sampling(protocol, params, code=None if protocol == "zero-error-otp" else code, rng=rng)
+        arg = None if protocol == "zero-error-otp" else code
+        _, _, out = sampled_run(protocol, params, arg, rng)
         rebuilt = Transcript(tuple(m for m in out.transcript.messages
                                    if PartyId.CHARLIE in (m.sender, m.receiver)))
         assert [(m.sender, m.receiver) for m in rebuilt.messages] == \
             [(PartyId.ALICE, PartyId.CHARLIE), (PartyId.BOB, PartyId.CHARLIE)]
-        arg = None if protocol == "zero-error-otp" else code
-        assert output_from_transcript(protocol, rebuilt, arg) == out.z_hat
+        assert _charlie_output(rebuilt, arg) == out.z_hat
 
 
 def test_replay_is_deterministic():
@@ -127,8 +128,8 @@ def test_replay_is_deterministic():
     params = DsbsParams(p=0.15, n=7)
     for protocol in PROTOCOL_IDS:
         arg = None if protocol == "zero-error-otp" else code
-        a = run_with_sampling(protocol, params, code=arg, rng=Random(99))
-        b = run_with_sampling(protocol, params, code=arg, rng=Random(99))
+        _, _, a = sampled_run(protocol, params, arg, Random(99))
+        _, _, b = sampled_run(protocol, params, arg, Random(99))
         assert a.transcript.messages == b.transcript.messages
         assert a.z_hat == b.z_hat and a.correct == b.correct
 
@@ -146,7 +147,7 @@ def test_framing_is_input_independent():
     for protocol in PROTOCOL_IDS:
         arg = None if protocol == "zero-error-otp" else code
         for _ in range(25):
-            out = run_with_sampling(protocol, params, code=arg, rng=rng)
+            _, _, out = sampled_run(protocol, params, arg, rng)
             got = [
                 (m.round, int(m.sender), int(m.receiver), m.payload.n)
                 for m in out.transcript.messages
@@ -169,8 +170,7 @@ def test_schedule_is_the_links_that_carry_messages():
     code = build_code(6, 3, seed=2)
     links = {(1, 2): "m12", (1, 3): "m13", (2, 3): "m23"}
     for protocol, spec in PROTOCOLS.items():
-        out = run_with_sampling(protocol, DsbsParams(p=0.2, n=6),
-                                code=code if spec.coded else None, rng=Random(5))
+        _, _, out = sampled_run(protocol, DsbsParams(p=0.2, n=6), code if spec.coded else None, Random(5))
         carried = [links[(int(m.sender), int(m.receiver))] for m in out.transcript.messages]
         assert tuple(dict.fromkeys(carried)) == spec.schedule, protocol
 
@@ -195,23 +195,6 @@ def test_registry_is_the_only_protocol_dispatch():
     assert sorted(value for *_, value in found) == sorted(PROTOCOL_IDS)
 
 
-def test_run_with_sampling_validation():
-    params = DsbsParams(p=0.1, n=4)
-    code = build_code(4, 2, seed=0)
-    with pytest.raises(ConfigurationError):
-        run_with_sampling("bogus", params, code=code, rng=Random(0))
-    with pytest.raises(ConfigurationError):
-        run_with_sampling("secure-km", params, code=None, rng=Random(0))
-    with pytest.raises(ContractViolation):
-        run_with_sampling("plain-km", params, code=code, rng=None)
-    with pytest.raises(ContractViolation):
-        run_with_sampling("secure-km", DsbsParams(p=0.1, n=5), code=code, rng=Random(0))
-    # An uncoded scheme ignores a code, but not one of the wrong length.
-    with pytest.raises(ContractViolation):
-        run_with_sampling("zero-error-otp", DsbsParams(p=0.1, n=5), code=code, rng=Random(0))
-    assert run_with_sampling("zero-error-otp", params, code=code, rng=Random(0)).correct
-
-
 def test_run_dimension_validation():
     with pytest.raises(ContractViolation):
         run_secure_km(FIXTURE, Gf2Vector.zeros(4), Y, K)
@@ -233,7 +216,7 @@ def test_link_payload_concatenates_each_link_in_schedule_order():
     assert transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE) == Gf2Vector.from_string("10011")
     assert transcript.link_payload(PartyId.BOB, PartyId.CHARLIE) == b
     assert transcript.link_payload(PartyId.ALICE, PartyId.BOB) == Gf2Vector.zeros(0)
-    assert (transcript.l12, transcript.l13, transcript.l23) == (0, 5, 3)
+    assert [transcript.link_payload(a, b).n for a, b in LINKS] == [0, 5, 3]
     for u, v in product(PartyId, repeat=2):
         assert transcript.link_payload(u, v) == transcript.link_payload(v, u)
 
@@ -249,10 +232,4 @@ def test_message_validation():
     for record, name in ((X, "bits"), (message, "sender"), (out.transcript, "messages"), (out, "correct")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
-
-
-def test_output_from_transcript_needs_code():
-    out = run_plain_km(FIXTURE, X, Y)
-    with pytest.raises(ConfigurationError):
-        output_from_transcript("plain-km", out.transcript, None)
 

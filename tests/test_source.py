@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 from itertools import product
-from random import Random
 
 import pytest
 
+from oracles import pair_probability
 from securesum.errors import ContractViolation
 from securesum.gf2 import Gf2Vector
-from securesum.source import DsbsParams, binary_entropy, pair_probability, sample_pair
+from securesum.source import DsbsParams, binary_entropy
 
 H2_QUARTER = 0.8112781244591328  # -0.25*log2(0.25) - 0.75*log2(0.75)
 
@@ -79,40 +79,6 @@ def test_binary_entropy_symmetric_and_concave():
         for b in grid:
             mid = binary_entropy((a + b) / 2)
             assert mid >= (binary_entropy(a) + binary_entropy(b)) / 2 - 1e-12
-
-
-def test_sample_pair_deterministic_and_shaped():
-    params = DsbsParams(0.25, 9)
-    x1, y1 = sample_pair(params, Random(42))
-    x2, y2 = sample_pair(params, Random(42))
-    assert (x1, y1) == (x2, y2)
-    assert x1.n == 9 and y1.n == 9
-
-
-def test_sample_pair_zero_flip_rate_always_agrees():
-    params = DsbsParams(0.0, 16)
-    rng = Random(3)
-    for _ in range(50):
-        x, y = sample_pair(params, rng)
-        assert x == y
-
-
-def test_sample_pair_statistics():
-    rng = Random(2024)
-    for p in (0.1, 0.25, 0.5):
-        params = DsbsParams(p, 1000)
-        disagreements = 0
-        ones = 0
-        blocks = 100
-        for _ in range(blocks):
-            x, y = sample_pair(params, rng)
-            disagreements += (x ^ y).weight()
-            ones += x.weight()
-        total = blocks * params.n
-        sigma_d = (p * (1 - p) / total) ** 0.5
-        assert abs(disagreements / total - p) <= 4 * sigma_d + 1e-9
-        sigma_u = (0.25 / total) ** 0.5
-        assert abs(ones / total - 0.5) <= 4 * sigma_u
 
 
 def test_params_validation():
