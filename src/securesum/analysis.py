@@ -51,8 +51,6 @@ __all__ = [
 # Tolerance used when deciding membership of a rate quadruple.
 REGION_SLACK = 1e-9
 
-_CHUNK = 1 << 20
-
 # The variables of one run, in column order.
 _VARIABLES = ("x", "y", "z", "k", "m12", "m13", "m23", "zhat")
 # Atoms or trials every batch engine replays through the message-passing code per call.
@@ -140,15 +138,14 @@ class AffineJoint:
             return 0.0
         if len(echelon([*folded, *self.parity])) > len(folded):
             raise CapacityError("a noise combination is a function of the syndrome that loses it")
-        # An uncoded protocol's syndrome is z.
-        if self.leaders is None:
-            return n * binary_entropy(self.p)
-        return sum(_plogp(self.law[lo:hi]) for lo, hi in _blocks(len(self.law), _CHUNK))
+        return self.syndrome_entropy
 
     @cached_property
-    def law(self) -> np.ndarray:
-        """P(s) of the syndrome s = H·z over its 2^m values."""
-        return _syndrome_law(self.parity, self.n, self.p)
+    def syndrome_entropy(self) -> float:
+        """H(s) of the syndrome s = H·z; an uncoded protocol's syndrome is z."""
+        if self.leaders is None:
+            return self.n * binary_entropy(self.p)
+        return _plogp(_syndrome_law(self.parity, self.n, self.p))
 
 
 def _syndrome_law(parity: tuple[int, ...], n: int, p: float) -> np.ndarray:
@@ -158,9 +155,9 @@ def _syndrome_law(parity: tuple[int, ...], n: int, p: float) -> np.ndarray:
     its pivot. If z is zero off the pivots, T·s is z on them, so
     P(s) = p^w (1 - p)^(m - w) with w the weight of T·s. Every other column h
     of H then takes one flip pass: P <- (1 - p)·P + p·P[s xor h]. Each cell is a
-    sum of non-negative products, so none cancels below zero. A pass reads P in
-    blocks of `_CHUNK` cells; xor by h sends a block to the block at
-    lo xor (the high bits of h), permuted by the low bits of h.
+    sum of non-negative products, so none cancels below zero. A pass works on
+    the (2,)*m view of P, whose axis a is bit m - 1 - a of s, so P[s xor h] is
+    P flipped along the axes of h's set bits: a view, with no index array.
     """
     m = len(parity)
     rows, tags, pivots = list(parity), [1 << i for i in range(m)], 0
@@ -173,31 +170,21 @@ def _syndrome_law(parity: tuple[int, ...], n: int, p: float) -> np.ndarray:
                 tags[j] ^= tags[i]
     ptable = np.array([p**w * (1.0 - p) ** (m - w) for w in range(m + 1)])
     law = ptable[np.bitwise_count(span_table(tags, m))]
-    size = len(law)
-    width = min(size, _CHUNK)
-    cells = np.arange(width)
-    moved = np.empty_like(law)
+    cube = law.reshape((2,) * m)
+    moved = np.empty_like(cube)
     for j in (j for j in range(n) if not pivots >> j & 1):
         h = column(parity, j)
-        inner = cells ^ (h & (width - 1))
-        for lo, hi in _blocks(size, width):
-            src = lo ^ (h & -width)
-            law[src:src + width].take(inner, out=moved[lo:hi])
-        law *= 1.0 - p
-        moved *= p
-        law += moved
+        np.multiply(np.flip(cube, [m - 1 - i for i in range(m) if h >> i & 1]), p, out=moved)
+        cube *= 1.0 - p
+        cube += moved
     return law
-
-
-def _blocks(size: int, width: int):
-    """(lo, hi) bounds of the blocks of `width` that cover range(size)."""
-    return ((lo, min(lo + width, size)) for lo in range(0, size, width))
 
 
 def _plogp(probs: np.ndarray) -> float:
     """-sum(q log2 q) over the cells of probs with q > 0."""
-    nz = probs[probs > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    terms = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    terms *= probs
+    return float(-terms.sum())
 
 
 def _names(variables) -> tuple[str, ...]:
@@ -269,19 +256,19 @@ def _check_replays(spec: ProtocolSpec, code: LinearCode | None, n: int, klen: in
 def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> AffineJoint:
     """Exact joint law of one instance from its affine description.
 
-    It needs the leader of every syndrome, so it runs wherever the leader table
-    does: m <= 24 and n <= 63, where an uncoded protocol's syndrome is z, m = n.
-    Every call evaluates the description at a spread sample of (x, y, k) atoms
-    and compares it with a replay through the message-passing engine, so the
-    algebra cannot drift from the protocols it claims to summarise.
+    Words are packed in int64, so n <= 63. A code needs the leader of every
+    syndrome, so m <= 24 as for its leader table; an uncoded protocol's
+    syndrome is z, whose entropy has a closed form. Every call evaluates the
+    description at a spread sample of (x, y, k) atoms and compares it with a
+    replay through the message-passing engine, so the algebra cannot drift
+    from the protocols it claims to summarise.
     """
     n = params.n
     spec, mlen, klen = check_instance(protocol_id, code, n)
-    if mlen > TABLE_GUARD_BITS or n > WORD_GUARD_BITS:
-        raise CapacityError(
-            f"exact leakage groups 2^{mlen} syndromes of {n}-bit words, "
-            f"guards are 2^{TABLE_GUARD_BITS} and n <= {WORD_GUARD_BITS}"
-        )
+    if n > WORD_GUARD_BITS:
+        raise CapacityError(f"exact leakage packs words in int64, so n <= {WORD_GUARD_BITS}; got n={n}")
+    if spec.coded and mlen > TABLE_GUARD_BITS:
+        raise CapacityError(f"exact leakage groups 2^{mlen} syndromes, guard is 2^{TABLE_GUARD_BITS}")
     rows = _affine_rows(spec, code, n, mlen, klen)
     joint = AffineJoint(
         protocol=protocol_id, n=n, m=mlen, p=params.p,

@@ -5,8 +5,9 @@
 the protocol algebra on all of them at once through its own syndrome and
 leader lookups, and returns the exact joint pmf of inputs, messages and output.
 `check_lemma1` states the zero-error structure conditions on either engine,
-`pair_probability` is the source law one pair at a time, and `sampled_run`
-drives a protocol on inputs drawn from a `random.Random`.
+`pair_probability` is the source law one pair at a time, `sampled_run`
+drives a protocol on inputs drawn from a `random.Random`, and `random_pmf`
+draws a small pmf to test the information identities on.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from random import Random
 import numpy as np
 
 from securesum.analysis import (
-    _CHUNK,
     _VARIABLES,
     _check_replays,
     _expand,
@@ -37,6 +37,9 @@ from securesum.source import DsbsParams
 ENUMERATION_GUARD_BITS = 24
 
 _BINCOUNT_MAX_BITS = 22
+
+# Atoms the enumeration computes per block, which bounds its temporaries.
+_ATOM_BLOCK = 1 << 20
 
 # Tolerance of the exact zero-error checks of Lemma 1.
 _LEMMA1_TOL = 1e-10
@@ -101,6 +104,22 @@ def _grouped_entropy(keys: np.ndarray, bits: int, probs: np.ndarray) -> float:
     return _plogp(grouped)
 
 
+def random_pmf(rng: Random, max_size: int) -> JointPmf:
+    """A pmf of random masses on 4 to `max_size` atoms over three variables a, b
+    and c of random widths; p is a placeholder, since no entropy reads it."""
+    widths = {"a": rng.randint(1, 3), "b": rng.randint(1, 3), "c": rng.randint(1, 2)}
+    size = rng.randint(4, max_size)
+    columns = {
+        name: np.array([rng.randrange(1 << w) for _ in range(size)], dtype=np.int32)
+        for name, w in widths.items()
+    }
+    raw = np.array([rng.random() for _ in range(size)])
+    return JointPmf(
+        protocol="plain-km", n=1, m=1, p=0.25,
+        widths=widths, columns=columns, probs=raw / raw.sum(),
+    )
+
+
 def enumerate_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> JointPmf:
     """Exhaustive pmf over every (x, y, k); one atom per combination.
 
@@ -127,8 +146,8 @@ def enumerate_joint(protocol_id: str, code: LinearCode | None, params: DsbsParam
     probs = np.empty(size, dtype=np.float64)
     differ, agree = params.p / 2.0, (1.0 - params.p) / 2.0
     ptable = np.array([differ**d * agree ** (n - d) for d in range(n + 1)]) * 0.5**klen
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
+    for lo in range(0, size, _ATOM_BLOCK):
+        hi = min(lo + _ATOM_BLOCK, size)
         x, y, k = _split(np.arange(lo, hi, dtype=np.int64), n, klen)
         # k is 0 for an unmasked protocol.
         m13, m23 = k ^ syndrome(x), k ^ syndrome(y)

@@ -9,10 +9,9 @@ import math
 from itertools import product
 from random import Random
 
-import numpy as np
 import pytest
 
-from oracles import JointPmf, check_lemma1, enumerate_joint
+from oracles import check_lemma1, enumerate_joint, random_pmf
 from securesum.analysis import (
     affine_joint,
     check_rate_region,
@@ -214,24 +213,10 @@ def test_criterion_6_unmasked_scheme_regression_values():
         assert abs(rep.eps4 - 0.0) <= 1e-10
 
 
-def _random_small_pmf(rng: Random) -> JointPmf:
-    widths = {"a": rng.randint(1, 3), "b": rng.randint(1, 3), "c": rng.randint(1, 2)}
-    size = rng.randint(4, 32)
-    columns = {
-        name: np.array([rng.randrange(1 << w) for _ in range(size)], dtype=np.int32)
-        for name, w in widths.items()
-    }
-    raw = np.array([rng.random() for _ in range(size)])
-    return JointPmf(
-        protocol="plain-km", n=1, m=1, p=0.25,
-        widths=widths, columns=columns, probs=raw / raw.sum(),
-    )
-
-
 def test_criterion_7_information_engine_self_tests():
     rng = Random(MASTER_SEED)
     for _ in range(100):
-        pmf = _random_small_pmf(rng)
+        pmf = random_pmf(rng, 32)
         assert abs(pmf.total() - 1.0) <= 1e-10
         chain = (
             pmf.entropy("c")

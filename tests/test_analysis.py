@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 
 import numpy as np
@@ -88,24 +89,10 @@ def test_conditional_entropy_chain():
     assert conditional_entropy(pmf, "x") == pytest.approx(pmf.entropy("x"), abs=1e-12)
 
 
-def _random_pmf(rng: Random) -> JointPmf:
-    widths = {"a": rng.randint(1, 3), "b": rng.randint(1, 3), "c": rng.randint(1, 2)}
-    size = rng.randint(4, 40)
-    columns = {
-        name: np.array([rng.randrange(1 << w) for _ in range(size)], dtype=np.int32)
-        for name, w in widths.items()
-    }
-    raw = np.array([rng.random() for _ in range(size)])
-    return JointPmf(
-        protocol="plain-km", n=1, m=1, p=0.1,
-        widths=widths, columns=columns, probs=raw / raw.sum(),
-    )
-
-
 def test_information_inequalities_on_random_pmfs():
     rng = Random(2718)
     for _ in range(100):
-        pmf = _random_pmf(rng)
+        pmf = oracles.random_pmf(rng, 40)
         h_ab = pmf.entropy(("a", "b"))
         h_a, h_b = pmf.entropy("a"), pmf.entropy("b")
         assert h_ab <= h_a + h_b + 1e-10
@@ -494,13 +481,19 @@ def test_affine_engine_joint_entropy_of_everything():
     # Every variable is a function of (x, k, z), which are independent and all
     # in the set, so H(all) = n + klen + n h2(p); a packed key would need
     # 8n + 2 klen bits.
-    for protocol, n, m, p in (("zero-error-otp", 16, 16, 0.1), ("secure-km", 12, 8, 0.25)):
+    # The pad groups nothing, since its syndrome is z, so it runs up to n = 63.
+    for protocol, n, m, p in (("zero-error-otp", 16, 16, 0.1), ("zero-error-otp", 40, 40, 0.1),
+                              ("zero-error-otp", 63, 63, 0.3), ("secure-km", 12, 8, 0.25)):
         code = None if protocol == "zero-error-otp" else build_code(n, m, seed=5)
         joint = affine_joint(protocol, code, DsbsParams(p=p, n=n))
         klen = joint.widths["k"]
         assert sum(joint.widths.values()) > 63
         expect = n + klen + n * binary_entropy(p)
         assert joint.entropy(tuple(joint.widths)) == pytest.approx(expect, abs=1e-10)
+        if code is None:
+            # The pad leaks nothing, decodes z exactly and spends a key bit per symbol.
+            assert all(abs(eps) <= 1e-10 for eps in vars(leakage_report(joint)).values()), n
+            assert rate_report(joint).rho == pytest.approx(1.0, abs=1e-10)
 
 
 def test_affine_engine_replay_catches_a_corrupted_description(monkeypatch):
@@ -613,8 +606,8 @@ def test_batched_evaluation_splits_rows_wider_than_64_bits():
 
 
 def test_affine_engine_guard_and_validation():
-    with pytest.raises(CapacityError, match="2\\^25"):
-        affine_joint("zero-error-otp", None, DsbsParams(p=0.1, n=25))
+    with pytest.raises(CapacityError, match="n <= 63"):
+        affine_joint("zero-error-otp", None, DsbsParams(p=0.1, n=64))
     # The engine needs no 2^n words, only the leader table's limits: m <= 24 and n <= 63.
     # These codes are built by hand, past the checks of build_code.
     wide = LinearCode(n=64, m=1, matrix=Gf2Matrix((1,), 64), seed=None, leaders=np.array([0, 1]))
@@ -729,25 +722,41 @@ def test_noise_entropy_refuses_a_function_that_loses_the_syndrome():
         joint._noise_entropy([outside])
 
 
-def test_syndrome_law_matches_the_syndrome_table(monkeypatch):
-    # P(s) from the flip passes against the noise-word masses summed per syndrome, up to m = 20.
-    for n, m in ((1, 0), (1, 1), (6, 3), (9, 9), (13, 7), (21, 20)):
-        code = build_code(n, m, seed=n + m)
-        words = np.arange(1 << n)
+def _rref_rows(n):
+    """The rows of every full-rank n-column parity matrix in reduced row echelon
+    form, one per row space: each row leads with its own pivot bit, and every
+    other bit below it that no row pivots on is free."""
+    for m in range(n + 1):
+        for pivots in combinations(range(n), m):
+            free = [[j for j in range(pivot) if j not in pivots] for pivot in pivots]
+            for fill in product(*(range(1 << len(bits)) for bits in free)):
+                yield tuple(1 << pivot | sum(1 << j for b, j in enumerate(bits) if value >> b & 1)
+                            for pivot, bits, value in zip(pivots, free, fill))
+
+
+def test_syndrome_law_matches_the_syndrome_table():
+    # P(s) from the flip passes, and H(s) from it, against the noise-word masses
+    # summed per syndrome: every row space at n <= 5, and random codes up to m = 21.
+    codes = [code_from_matrix(Gf2Matrix(rows, n)) for n in range(1, 6) for rows in _rref_rows(n)]
+    assert len(codes) == 464  # the subspaces of GF(2)^n, n = 1..5: 2 + 5 + 16 + 67 + 374
+    codes += [build_code(n, m, seed=n + m)
+              for n, m in ((1, 0), (1, 1), (6, 3), (9, 9), (13, 7), (21, 20), (22, 21))]
+    for code in codes:
+        n, m, rows = code.n, code.m, code.matrix.rows
+        syndromes = span_table(rows, n)
+        weights = np.bitwise_count(np.arange(1 << n))
         for p in (0.0, 0.05, 0.25, 0.5):
-            law = analysis._syndrome_law(code.matrix.rows, n, p)
-            ptable = np.array([p**d * (1.0 - p) ** (n - d) for d in range(n + 1)])
-            expect = np.bincount(span_table(code.matrix.rows, n), weights=ptable[np.bitwise_count(words)],
-                                 minlength=1 << m)
+            law = analysis._syndrome_law(rows, n, p)
+            probs = np.array([p**d * (1.0 - p) ** (n - d) for d in range(n + 1)])[weights]
+            expect = np.bincount(syndromes, weights=probs, minlength=1 << m)
             assert law.shape == (1 << m,)
             assert not np.isnan(law).any() and (law >= 0.0).all()
             np.testing.assert_allclose(law, expect, rtol=1e-10, atol=0.0)
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
-    # Passes in blocks of a few cells, as at m > 20, give the same law.
-    code = build_code(12, 10, seed=1)
-    whole = analysis._syndrome_law(code.matrix.rows, 12, 0.1)
-    monkeypatch.setattr(analysis, "_CHUNK", 1 << 3)
-    np.testing.assert_allclose(analysis._syndrome_law(code.matrix.rows, 12, 0.1), whole, rtol=1e-13, atol=0.0)
+            joint = analysis.AffineJoint(protocol="plain-km", n=n, m=m, p=p, widths={}, rows={},
+                                         parity=rows, leaders=code.leaders)
+            assert joint.syndrome_entropy == pytest.approx(
+                oracles._grouped_entropy(syndromes, m, probs), abs=1e-12), (n, rows, p)
 
 
 def test_affine_engine_replay_catches_an_atom_out_of_order(monkeypatch):

@@ -291,9 +291,9 @@ def test_single_instance_commands_are_one_point_sweeps(protocol):
 
 
 def test_capacity_guard_exits_3(capsys):
-    # Exact leakage groups the law of the syndrome, so it stops where leader
-    # tables do: m <= 24 and n <= 63, and the syndrome of the uncoded pad is z.
-    for argv in (["--protocol", "zero-error-otp", "--n", "25"],
+    # Exact leakage packs words in int64, so n <= 63 for every protocol; a code
+    # also stops where leader tables do, at m <= 24.
+    for argv in (["--protocol", "zero-error-otp", "--n", "64"],
                  ["--protocol", "secure-km", "--n", "64", "--m", "3"]):
         assert main(["leakage", *argv, "--p", "0.1"]) == 3
         assert "capacity error" in capsys.readouterr().err
@@ -565,6 +565,9 @@ STDOUT_SHA256 = {
     "sweep --protocol secure-km,plain-km,zero-error-otp --n 4,9 --rate 0.5 --p 0.1,0.3 --mode leakage"
     " --seeds 2":
         "902ecacb96e00c358e8773afff31c0d22c9421235da9cb2a8fb11e443f6a821b",
+    # A 2^22-cell syndrome law, recorded when its passes ran in blocks of 2^20 cells.
+    "leakage --protocol plain-km --n 26 --m 22 --p 0.1 --seed 4":
+        "675535c7aaeea8a53dcac6ea8f477f7dcd2b29dc665b7dff642c9ea62d0ea17f",
 }
 
 
