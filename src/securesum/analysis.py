@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from random import Random
 from typing import Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .codes import TABLE_GUARD_BITS, WORD_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
-from .gf2 import Gf2Vector, column, echelon, span_table
+from .gf2 import Gf2Vector, column, echelon, linear_map, pivot_start
 from .protocol import (
     ALICE,
     BOB,
@@ -151,30 +151,21 @@ class AffineJoint:
 def _syndrome_law(parity: tuple[int, ...], n: int, p: float) -> np.ndarray:
     """P(s) of s = H·z for z with independent Bernoulli(p) bits, H given by its rows.
 
-    Gauss-Jordan elimination gives T·H = R with a unit column of R for each row,
-    its pivot. If z is zero off the pivots, T·s is z on them, so
-    P(s) = p^w (1 - p)^(m - w) with w the weight of T·s. Every other column h
-    of H then takes one flip pass: P <- (1 - p)·P + p·P[s xor h]. Each cell is a
-    sum of non-negative products, so none cancels below zero. A pass works on
-    the (2,)*m view of P, whose axis a is bit m - 1 - a of s, so P[s xor h] is
-    P flipped along the axes of h's set bits: a view, with no index array.
+    The law starts where the leader table does, from `pivot_start`: if z is
+    zero off the pivots, z is the pivot word of s, so P(s) = p^w (1 - p)^(m - w)
+    with w the weight of that word. Each free column h of H then takes one flip
+    pass: P <- (1 - p)·P + p·P[s xor h]. Each cell is a sum of non-negative
+    products, so none cancels below zero. A pass works on the (2,)*m view of P,
+    whose axis a is bit m - 1 - a of s, so P[s xor h] is P flipped along the
+    axes of h's set bits: a view, with no index array.
     """
     m = len(parity)
-    rows, tags, pivots = list(parity), [1 << i for i in range(m)], 0
-    for i in range(m):
-        pivot = rows[i] & -rows[i]  # a column no earlier row pivots on
-        pivots |= pivot
-        for j in range(m):
-            if j != i and rows[j] & pivot:
-                rows[j] ^= rows[i]
-                tags[j] ^= tags[i]
-    ptable = np.array([p**w * (1.0 - p) ** (m - w) for w in range(m + 1)])
-    law = ptable[np.bitwise_count(span_table(tags, m))]
+    weights, _, free = pivot_start(parity, n)
+    law = np.array([p**w * (1.0 - p) ** (m - w) for w in range(m + 1)])[weights]
     cube = law.reshape((2,) * m)
     moved = np.empty_like(cube)
-    for j in (j for j in range(n) if not pivots >> j & 1):
-        h = column(parity, j)
-        np.multiply(np.flip(cube, [m - 1 - i for i in range(m) if h >> i & 1]), p, out=moved)
+    for axes, _ in free:
+        np.multiply(np.flip(cube, axes), p, out=moved)
         cube *= 1.0 - p
         cube += moved
     return law
@@ -490,20 +481,8 @@ def _batch_decoder(parity: tuple[int, ...], leaders: np.ndarray | None, n: int):
     A coded z is one word, since the leader table needs n <= 63."""
     if leaders is None:
         return _identity
-    syndrome = partial(_batch_syndromes, _syndrome_tables(parity, n))
-    return lambda z: leaders[syndrome(z)].astype(z.dtype)[:, None]
-
-
-def _syndrome_tables(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """Row j holds the syndrome of every byte value placed at byte j of an n-bit word."""
-    return np.stack([span_table(((row >> 8 * j) & 0xFF for row in rows), 8)
-                     for j in range(-(-n // 8))])
-
-
-def _batch_syndromes(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Packed syndromes of little-endian word rows: the xor of one lookup per byte."""
-    octets = words.view(np.uint8)[:, : len(tables)]
-    return np.bitwise_xor.reduce(tables[np.arange(len(tables)), octets], axis=1)
+    syndrome = linear_map([column(parity, j) for j in range(n)])
+    return lambda z: leaders[syndrome(z[:, 0])].astype(z.dtype)[:, None]
 
 
 def _word(words: np.ndarray, j: int) -> int:

@@ -8,7 +8,7 @@ from random import Random
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector, column, random_matrix
+from .gf2 import Gf2Matrix, Gf2Vector, linear_map, pivot_start, random_matrix
 
 __all__ = [
     "LinearCode",
@@ -27,81 +27,48 @@ TABLE_GUARD_BITS = 24
 WORD_GUARD_BITS = 63
 
 
-# The leader search reads the table in blocks of `_BLOCK` syndromes and
-# extends their leaders in passes of at most about `_PASS` candidates; the bit
-# reversal takes `_PASS` words a pass. So temporaries stay small beside the table.
-_BLOCK = 1 << 16
-_PASS = 1 << 12
-
-# Bit-reversed value of every byte.
-_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-
-
-def _bit_reverse(words: np.ndarray, n: int) -> np.ndarray:
-    """Reverse the low n bits of each non-negative int64 word, in place.
-
-    Reversing a block's bytes in memory order and the bits of each byte
-    reverses all 64 bits of every word, and the order of the words, on either
-    byte order. The shift down to n bits runs on unsigned words, since bit 63
-    may now be set and an int64 shift would copy it down.
-    """
-    for lo in range(0, len(words), _PASS):
-        block = words[lo:lo + _PASS]
-        swapped = _REVERSED_BYTES.take(block.view(np.uint8)[::-1]).view(np.uint64)
-        block[:] = (swapped[::-1] >> np.uint64(64 - n)).view(np.int64)
-    return words
-
-
-def _extensions(words: np.ndarray, n: int):
-    """(word index, bit) pairs, in runs of whole words of about `_PASS` pairs.
-
-    A word pairs with each bit below its lowest set bit; the zero word with all n.
-    """
-    counts = np.minimum(np.bitwise_count(((words & -words) - 1).view(np.uint64)), n)
-    ends = np.cumsum(counts, dtype=np.int64)
-    lo = 0
-    while lo < len(words):
-        base = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, base + _PASS, "right")), lo + 1)
-        run = counts[lo:hi]
-        yield (np.repeat(np.arange(lo, hi), run),
-               np.arange(base, ends[hi - 1]) - np.repeat(ends[lo:hi] - run, run))
-        lo = hi
+# The leader recovery rewrites the key table in blocks of this many syndromes,
+# so its temporaries stay small beside the table.
+_RECOVERY_BLOCK = 1 << 16
 
 
 def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
-    """Coset leaders by a breadth-first search over syndromes, one weight per layer.
+    """Coset leaders by min-plus column passes on the `(2,)*m` cube of syndromes.
 
-    The search runs on bit-reversed words, where symbol 0 is the most
-    significant bit and the tie-break is plain integer order. If w is the
-    leader of s and bit j is its lowest set bit, then w ^ (1 << j) is the
-    leader of s ^ h_j, where h_j is the column of that bit. So layer w extends
-    each leader of weight w - 1 by every bit below its lowest set bit, and each
-    syndrome still unfilled before the layer keeps its least candidate. A
-    layer is one vectorised pass over its candidates, split into bounded runs
-    (`_BLOCK`, `_PASS`) that leave the minimum over the same candidates.
+    `pivot_start` splits the columns into pivots and f free columns; the coset
+    of s is the pivot word of s plus every codeword, and a codeword is fixed by
+    its free part u. Two words of one coset first differ at a free symbol (at
+    a pivot, that column would depend on the columns after it), so the key
+    (weight, reversed u) orders a coset as the tie-break (weight, reversed
+    word) does, where reversed puts symbol 0 in the most significant bit. Keys
+    pack the weight above f bits of reversed u. Each starts at the weight of
+    its pivot word, and free column j, at reversed bit b, takes one pass
+    key[s] <- min(key[s], key[s xor h_j] + (1 << f | 1 << b)) on the flipped
+    view of the cube. The least key of s then holds the leader's u, and the
+    leader is the pivot word of s xor the codeword of u. A weight is at most
+    m + 1, so a key takes bitlen(m + 1) + f <= 64 bits at any n <= 63.
     """
     n, m = matrix.cols, matrix.m
     if n > WORD_GUARD_BITS:
         raise CapacityError(f"leader words are packed in int64, so n <= {WORD_GUARD_BITS}; got n={n}")
-    cols = np.array([column(matrix.rows, n - 1 - j) for j in range(n)], dtype=np.int64)
-    empty = np.iinfo(np.int64).max  # above every leader, whose weight is <= m < 63
-    rev = np.full(1 << m, empty, dtype=np.int64)
-    rev[0] = 0
-    layer = rev == 0  # the syndromes whose leaders the last layer found
-    while layer.any():
-        still_open = rev == empty
-        for lo in range(0, len(rev), _BLOCK):
-            synd = np.flatnonzero(layer[lo:lo + _BLOCK]) + lo
-            words = rev[synd]
-            for leader, bit in _extensions(words, n):
-                s = synd[leader] ^ cols[bit]
-                keep = still_open[s]
-                np.minimum.at(rev, s[keep], words[leader[keep]] | 1 << bit[keep])
-        layer = still_open & (rev != empty)
-    if (rev == empty).any():
-        raise ContractViolation("matrix is not full rank: some syndromes unreachable")
-    return _bit_reverse(rev, n)
+    weights, units, free = pivot_start(matrix.rows, n)
+    f = len(free)
+    keys = weights.astype(np.uint64)
+    del weights
+    keys <<= np.uint64(f)
+    cube = keys.reshape((2,) * m)
+    moved = np.empty_like(cube)
+    for b, (axes, _) in enumerate(reversed(free)):
+        np.add(np.flip(cube, axes), np.uint64(1 << f | 1 << b), out=moved)
+        np.minimum(cube, moved, out=cube)
+    del moved
+    pivot_word = linear_map(units)
+    codeword = linear_map([word for _, word in reversed(free)])
+    leaders = keys.view(np.int64)
+    for lo in range(0, len(leaders), _RECOVERY_BLOCK):
+        block = leaders[lo:lo + _RECOVERY_BLOCK]
+        block[:] = pivot_word(np.arange(lo, lo + len(block))) ^ codeword(block & ((1 << f) - 1))
+    return leaders
 
 
 @dataclass(eq=False)

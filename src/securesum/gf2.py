@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -156,16 +156,67 @@ def echelon(rows: Iterable[int]) -> list[int]:
     return list(basis.values())
 
 
-def span_table(rows: Iterable[int], cols: int) -> np.ndarray:
-    """The map with these packed rows, evaluated at every `cols`-bit word.
-
-    Entry w is the packed image of w: bit i is the parity of row i and w.
-    """
-    rows = list(rows)
-    table = np.zeros(1 << cols, dtype=np.int64)
-    for j in range(cols):
-        np.bitwise_xor(table[: 1 << j], column(rows, j), out=table[1 << j : 2 << j])
+def xor_span(words: Sequence[int]) -> np.ndarray:
+    """Entry s is the xor of words[i] over the set bits i of s, for every s below 2^len(words)."""
+    table = np.zeros(1 << len(words), dtype=np.int64)
+    for j, word in enumerate(words):
+        np.bitwise_xor(table[: 1 << j], word, out=table[1 << j : 2 << j])
     return table
+
+
+def linear_map(images: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+    """The linear map sending bit i of a word to images[i], on 1-D arrays of 64-bit words.
+
+    It reads every word one byte at a time, through one 256-entry table per
+    byte, and xors the lookups, so its temporaries are a few arrays of the
+    input's length. Words must have no bit past the last image.
+    """
+    tables = [xor_span(images[lo:lo + 8]) for lo in range(0, len(images), 8)]
+
+    def apply(words: np.ndarray) -> np.ndarray:
+        octets = words.astype(words.dtype.newbyteorder("<"), copy=False).view(np.uint8).reshape(-1, 8)
+        out = np.zeros(len(words), dtype=np.int64)
+        for j, table in enumerate(tables):
+            out ^= table[octets[:, j]]
+        return out
+
+    return apply
+
+
+def pivot_start(rows: Sequence[int], n: int):
+    """The pivot start of a full-rank parity matrix H, given by its packed rows.
+
+    Gauss-Jordan elimination pivots each row on its highest bit, so the pivots
+    are the lexicographically last information set: column j is one exactly
+    when it is independent of the columns after it. The pivot word of a
+    syndrome s is the one word zero off the pivots with H·word = s. Returns:
+
+    - `weights[s]`, the weight of the pivot word of s, for all 2^m syndromes;
+    - `units[c]`, the pivot word of unit syndrome c;
+    - `free`, per non-pivot column j in increasing order, the axes of the
+      `(2,)*m` cube of syndromes (axis a is bit m - 1 - a of s) along which
+      adding column j flips s, and the codeword that is 1 at j and 0 at every
+      other non-pivot column.
+    """
+    m = len(rows)
+    original, rows, tags, pivots = rows, list(rows), [1 << i for i in range(m)], []
+    for i in range(m):
+        pivot = 1 << (rows[i].bit_length() - 1)  # the earlier pivots are cleared from row i
+        pivots.append(pivot)
+        for k in range(m):
+            if k != i and rows[k] & pivot:
+                rows[k] ^= rows[i]
+                tags[k] ^= tags[i]
+    # Row i of T·H = R holds pivot i alone among the pivots, so T·s is the
+    # pivot word of s on the pivots, and a codeword c at free column j has
+    # c[pivot i] = R[i][j].
+    units = [sum(pivot for pivot, tag in zip(pivots, tags) if tag >> c & 1) for c in range(m)]
+    free, taken = [], sum(pivots)
+    for j in range(n):
+        if not taken >> j & 1:
+            free.append((tuple(m - 1 - i for i, row in enumerate(original) if row >> j & 1),
+                         1 << j | sum(pivot for pivot, row in zip(pivots, rows) if row >> j & 1)))
+    return np.bitwise_count(xor_span(units)), units, free
 
 
 def column(rows: Iterable[int], j: int) -> int:

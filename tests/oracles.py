@@ -5,13 +5,16 @@
 the protocol algebra on all of them at once through its own syndrome and
 leader lookups, and returns the exact joint pmf of inputs, messages and output.
 `check_lemma1` states the zero-error structure conditions on either engine,
+`span_table` evaluates a packed-row map at every word,
 `pair_probability` is the source law one pair at a time, `sampled_run`
-drives a protocol on inputs drawn from a `random.Random`, and `random_pmf`
-draws a small pmf to test the information identities on.
+drives a protocol on inputs drawn from a `random.Random`, `random_pmf`
+draws a small pmf to test the information identities on, and `rref_rows`
+lists one parity matrix per row space.
 """
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
+from itertools import combinations, product
 from random import Random
 
 import numpy as np
@@ -29,7 +32,7 @@ from securesum.analysis import (
 )
 from securesum.codes import LinearCode
 from securesum.errors import CapacityError, ContractViolation
-from securesum.gf2 import Gf2Vector, span_table
+from securesum.gf2 import Gf2Vector, column, xor_span
 from securesum.protocol import RunOutcome, check_instance, run_plain_km, run_secure_km, run_zero_error_otp
 from securesum.source import DsbsParams
 
@@ -102,6 +105,15 @@ def _grouped_entropy(keys: np.ndarray, bits: int, probs: np.ndarray) -> float:
         _, inverse = np.unique(keys, return_inverse=True)
         grouped = np.bincount(inverse, weights=probs)
     return _plogp(grouped)
+
+
+def span_table(rows, cols: int) -> np.ndarray:
+    """The map with these packed rows, evaluated at every `cols`-bit word.
+
+    Entry w is the packed image of w: bit i is the parity of row i and w.
+    """
+    rows = list(rows)
+    return xor_span([column(rows, j) for j in range(cols)])
 
 
 def random_pmf(rng: Random, max_size: int) -> JointPmf:
@@ -236,3 +248,15 @@ def sampled_run(protocol_id: str, params: DsbsParams, code: LinearCode | None,
     if not spec.coded:
         return xv, yv, run_zero_error_otp(xv, yv, k)
     return xv, yv, run_secure_km(code, xv, yv, k) if spec.masked else run_plain_km(code, xv, yv)
+
+
+def rref_rows(n: int):
+    """The rows of every full-rank n-column parity matrix in reduced row echelon
+    form, one per row space: each row leads with its own pivot bit, and every
+    other bit below it that no row pivots on is free."""
+    for m in range(n + 1):
+        for pivots in combinations(range(n), m):
+            free = [[j for j in range(pivot) if j not in pivots] for pivot in pivots]
+            for fill in product(*(range(1 << len(bits)) for bits in free)):
+                yield tuple(1 << pivot | sum(1 << j for b, j in enumerate(bits) if value >> b & 1)
+                            for pivot, bits, value in zip(pivots, free, fill))

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from itertools import combinations, product
 from random import Random
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 
 import oracles
 import securesum.analysis as analysis
-from oracles import JointPmf, check_lemma1, enumerate_joint, pair_probability
+from oracles import JointPmf, check_lemma1, enumerate_joint, pair_probability, rref_rows, span_table
 from securesum.analysis import (
     affine_joint,
     check_rate_region,
@@ -24,7 +23,7 @@ from securesum.analysis import (
 from securesum.cli import ReportRow
 from securesum.codes import LinearCode, build_code, code_from_matrix, exact_error_probability
 from securesum.errors import CapacityError, ConfigurationError, ContractViolation
-from securesum.gf2 import Gf2Matrix, Gf2Vector, echelon, span_table
+from securesum.gf2 import Gf2Matrix, Gf2Vector, echelon
 from securesum.protocol import check_instance, run_plain_km, run_secure_km, run_zero_error_otp
 from securesum.source import DsbsParams, binary_entropy
 
@@ -336,10 +335,10 @@ def test_batched_monte_carlo_matches_per_trial_reference(monkeypatch):
 def test_monte_carlo_self_checks_catch_faults(monkeypatch):
     code = build_code(12, 8, seed=3)
     params = DsbsParams(p=0.1, n=12)
-    tables = analysis._syndrome_tables
+    honest = analysis.linear_map
     with monkeypatch.context() as patch:
         # Syndromes lose their top bit; the replays recompute them in full.
-        patch.setattr(analysis, "_syndrome_tables", lambda rows, n: tables(rows[:-1], n))
+        patch.setattr(analysis, "linear_map", lambda images: honest([h & 0x7F for h in images]))
         with pytest.raises(RuntimeError, match="disagrees with protocol replay"):
             monte_carlo_error("plain-km", code, params, 500, Random(1))
     noise = analysis._batch_noise
@@ -561,8 +560,9 @@ def test_affine_engine_replay_catches_a_corrupted_zhat_row(monkeypatch):
 
 def _scalar_evaluate(joint, x, y, k):
     """Every variable of one (x, y, k) atom, one packed row at a time: the
-    reference for the batched `analysis._evaluate`. zhat is the leader of the
-    syndrome of z, which is z itself when there is no leader table."""
+    reference for the batched `analysis._evaluate` past the oracle's guard.
+    zhat is the leader of the syndrome of z, which is z itself when there is
+    no leader table."""
     n = joint.n
     synd = sum(((row & (x ^ y)).bit_count() & 1) << i for i, row in enumerate(joint.parity))
     zhat = synd if joint.leaders is None else int(joint.leaders[synd])
@@ -582,15 +582,22 @@ def _assert_evaluation_matches_scalar(joint, x, y, k):
         assert column == [atom[name] for atom in scalar], (joint.protocol, joint.n, joint.m, name)
 
 
-def test_batched_evaluation_matches_scalar_at_every_small_atom():
+def test_batched_evaluation_matches_the_oracle_at_every_small_atom():
+    # The oracle lists its atoms in the same (x, y, k) index order and holds
+    # every variable as a column, computed on its own syndrome and leader path.
+    instances = 0
     for protocol, n, m in _small_instances():
         code = None if protocol == "zero-error-otp" else build_code(n, m, seed=97 * n + m)
-        joint = affine_joint(protocol, code, DsbsParams(p=0.25, n=n))
-        klen = joint.widths["k"]
-        size = 1 << (2 * n + klen)
-        for lo in range(0, size, 4096):
-            index = np.arange(lo, min(lo + 4096, size), dtype=np.int64)
-            _assert_evaluation_matches_scalar(joint, *analysis._split(index, n, klen))
+        params = DsbsParams(p=0.25, n=n)
+        joint = affine_joint(protocol, code, params)
+        pmf = enumerate_joint(protocol, code, params)
+        index = np.arange(pmf.size, dtype=np.int64)
+        evaluated = analysis._evaluate(joint, *analysis._split(index, n, joint.widths["k"]))
+        assert tuple(joint.rows) == analysis._VARIABLES == tuple(pmf.columns)
+        for name, column in zip(analysis._VARIABLES, evaluated):
+            assert np.array_equal(column, pmf.columns[name]), (protocol, n, m, name)
+        instances += 1
+    assert instances == 29 + 44 + 5  # secure-km, plain-km, zero-error-otp
 
 
 def test_batched_evaluation_splits_rows_wider_than_64_bits():
@@ -722,22 +729,10 @@ def test_noise_entropy_refuses_a_function_that_loses_the_syndrome():
         joint._noise_entropy([outside])
 
 
-def _rref_rows(n):
-    """The rows of every full-rank n-column parity matrix in reduced row echelon
-    form, one per row space: each row leads with its own pivot bit, and every
-    other bit below it that no row pivots on is free."""
-    for m in range(n + 1):
-        for pivots in combinations(range(n), m):
-            free = [[j for j in range(pivot) if j not in pivots] for pivot in pivots]
-            for fill in product(*(range(1 << len(bits)) for bits in free)):
-                yield tuple(1 << pivot | sum(1 << j for b, j in enumerate(bits) if value >> b & 1)
-                            for pivot, bits, value in zip(pivots, free, fill))
-
-
 def test_syndrome_law_matches_the_syndrome_table():
     # P(s) from the flip passes, and H(s) from it, against the noise-word masses
     # summed per syndrome: every row space at n <= 5, and random codes up to m = 21.
-    codes = [code_from_matrix(Gf2Matrix(rows, n)) for n in range(1, 6) for rows in _rref_rows(n)]
+    codes = [code_from_matrix(Gf2Matrix(rows, n)) for n in range(1, 6) for rows in rref_rows(n)]
     assert len(codes) == 464  # the subspaces of GF(2)^n, n = 1..5: 2 + 5 + 16 + 67 + 374
     codes += [build_code(n, m, seed=n + m)
               for n, m in ((1, 0), (1, 1), (6, 3), (9, 9), (13, 7), (21, 20), (22, 21))]

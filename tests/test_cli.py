@@ -564,7 +564,7 @@ STDOUT_SHA256 = {
         "e0277aee3b5463d63913281de1d37c830967ad4a673bb6fc3e4c6428f9282eb1",
     "sweep --protocol secure-km,plain-km,zero-error-otp --n 4,9 --rate 0.5 --p 0.1,0.3 --mode leakage"
     " --seeds 2":
-        "902ecacb96e00c358e8773afff31c0d22c9421235da9cb2a8fb11e443f6a821b",
+        "e2b43d8b9730acce7b46ec3932b28bb0e071685e440ae050e3fc701e811cb82a",
     # A 2^22-cell syndrome law, recorded when its passes ran in blocks of 2^20 cells.
     "leakage --protocol plain-km --n 26 --m 22 --p 0.1 --seed 4":
         "675535c7aaeea8a53dcac6ea8f477f7dcd2b29dc665b7dff642c9ea62d0ea17f",

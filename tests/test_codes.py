@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from securesum import codes
+from oracles import rref_rows
 from securesum.codes import (
     build_code,
     code_from_matrix,
@@ -129,9 +129,22 @@ def test_leaders_match_brute_force_oracle():
     cases = [FIXTURE, Gf2Matrix.from_rows([[1, 1]])]
     for n, m in ((4, 2), (6, 4), (8, 3), (10, 5), (12, 6)):
         cases.append(build_code(n, m, seed=rng.randrange(10**6)).matrix)
+    # One reduced-row-echelon H per row space at n <= 5, m = 0 included: every
+    # split of the columns into pivots and free columns at those sizes.
+    row_spaces = [Gf2Matrix(rows, n) for n in range(1, 6) for rows in rref_rows(n)]
+    assert len(row_spaces) == 464
+    # Column 1 of the first is zero, a pass with no flip axes. In the second,
+    # columns 0 and 1 are equal free columns, so they take the same pass twice,
+    # and columns 3 and 4 are equal with one a pivot; the third has both kinds.
+    cases += row_spaces + [
+        Gf2Matrix.from_rows([[1, 0, 1, 1, 0, 0], [0, 0, 1, 0, 1, 1], [1, 0, 0, 1, 1, 0]]),
+        Gf2Matrix.from_rows([[1, 1, 0, 1, 1, 0, 1], [0, 0, 1, 1, 1, 1, 0], [1, 1, 1, 0, 0, 1, 0]]),
+        Gf2Matrix.from_rows([[1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1]]),
+    ]
     for matrix in cases:
         code = code_from_matrix(matrix)
         oracle = _leader_oracle(matrix)
+        assert len(code.leaders) == len(oracle) == 1 << matrix.m
         for s, leader in oracle.items():
             assert int(code.leaders[s]) == leader, (matrix.to_string(), s)
 
@@ -158,47 +171,22 @@ def test_leaders_are_minimum_weight_exhaustively():
 
 def test_leaders_match_sorted_full_table_reference():
     rng = Random(77)
-    for n, m in ((6, 3), (8, 4), (10, 6), (11, 2), (21, 6), (22, 8)):
+    # (18, 17) has 2^17 syndromes, so its leaders are read back in two blocks.
+    for n, m in ((6, 3), (8, 4), (10, 6), (11, 2), (21, 6), (22, 8), (18, 17)):
         code = build_code(n, m, seed=rng.randrange(10**6))
         assert np.array_equal(code.leaders, _sorted_leader_reference(code.matrix)), (n, m)
 
 
 def test_leaders_match_weight_limited_reference_beyond_full_table():
     rng = Random(63)
-    for n in (32, 33, 48, 63):
-        for m in (1, 5, 8):
-            code = build_code(n, m, seed=rng.randrange(10**6))
-            weight = int(np.bitwise_count(code.leaders).max())
-            reference = _weight_limited_leader_reference(code.matrix, weight)
-            assert np.array_equal(code.leaders, reference), (n, m)
-
-
-def test_bit_reverse_matches_per_bit_loop(monkeypatch):
-    rng = np.random.default_rng(8)
-    for n in (0, 1, 7, 8, 31, 32, 33, 63):
-        top = (1 << n) - 1
-        words = np.concatenate([
-            np.array([0, top, (top + 1) >> 1], dtype=np.int64),
-            rng.integers(0, top, size=3 * codes._PASS + 5, dtype=np.int64, endpoint=True),
-        ])
-        expect = _bit_reverse_per_bit(words, n)
-        assert np.array_equal(codes._bit_reverse(words.copy(), n), expect), n
-        monkeypatch.setattr(codes, "_PASS", 7)
-        assert np.array_equal(codes._bit_reverse(words.copy(), n), expect), n
-        monkeypatch.undo()
-
-
-def test_leader_search_chunks_leave_tables_unchanged(monkeypatch):
-    # Passes of a few candidates and blocks of a few syndromes cross every
-    # chunk boundary, including runs that split a layer mid-way.
-    rng = Random(77)
-    sizes = ((6, 3), (8, 4), (10, 6), (11, 2), (21, 6), (22, 8))
-    matrices = [build_code(n, m, seed=rng.randrange(10**6)).matrix for n, m in sizes]
-    monkeypatch.setattr(codes, "_PASS", 3)
-    monkeypatch.setattr(codes, "_BLOCK", 4)
-    for matrix in matrices:
-        code = code_from_matrix(matrix)
-        assert np.array_equal(code.leaders, _sorted_leader_reference(matrix)), matrix.cols
+    shapes = [(n, m) for n in (32, 33, 48, 63) for m in (1, 5, 8)]
+    # At the widest codes a key's free field takes n - m of its 64 bits.
+    shapes += [(n, m) for n in range(59, 64) for m in (1, 5, 8, 12)]
+    for n, m in shapes:
+        code = build_code(n, m, seed=rng.randrange(10**6))
+        weight = int(np.bitwise_count(code.leaders).max())
+        reference = _weight_limited_leader_reference(code.matrix, weight)
+        assert np.array_equal(code.leaders, reference), (n, m)
 
 
 def test_build_code_deterministic_and_full_rank():
@@ -234,7 +222,7 @@ def test_rank_deficient_matrix_rejected():
 def test_code_from_matrix_checks_shape_before_rank():
     with pytest.raises(ContractViolation, match="m <= n"):
         code_from_matrix(Gf2Matrix.from_rows([[1, 0], [0, 1], [1, 1]]))
-    # Full rank, but its leader table would exceed the 2^24 guard: refused before any search.
+    # Full rank, but its leader table would exceed the 2^24 guard: refused before it is built.
     identity = Gf2Matrix.from_rows([[int(i == j) for j in range(25)] for i in range(25)])
     with pytest.raises(CapacityError, match="2\\^25"):
         code_from_matrix(identity)

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import span_table
 from securesum.errors import ContractViolation
 from securesum.gf2 import (
     Gf2Matrix,
     Gf2Vector,
     echelon,
+    linear_map,
+    pivot_start,
     random_matrix,
-    span_table,
 )
 
 
@@ -122,6 +124,48 @@ def test_span_table_is_matvec_at_every_word():
         table = span_table(mat.rows, n)
         assert table.dtype == np.int64 and len(table) == 1 << n
         assert [int(v) for v in table] == [mat.matvec(Gf2Vector(w, n)).bits for w in range(1 << n)]
+
+
+def test_pivot_start_is_the_last_information_set():
+    rng = Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        m = rng.randint(0, n)
+        mat = random_matrix(m, n, rng)
+        if mat.rank() < m:
+            continue
+        cols = [sum(((row >> j) & 1) << i for i, row in enumerate(mat.rows)) for j in range(n)]
+        pivots: list[int] = []
+        for j in reversed(range(n)):  # kept when independent of the kept columns after it
+            if _rank_oracle(Gf2Matrix(tuple(cols[k] for k in [*pivots, j]), m)) > len(pivots):
+                pivots.append(j)
+        on_pivots = sum(1 << j for j in pivots)
+        weights, units, free = pivot_start(mat.rows, n)
+        assert len(units) == m and len(weights) == 1 << m
+        for c, unit in enumerate(units):
+            assert unit & ~on_pivots == 0 and mat.matvec(Gf2Vector(unit, n)).bits == 1 << c
+        for word in range(1 << n):
+            if word & ~on_pivots == 0:
+                assert weights[mat.matvec(Gf2Vector(word, n)).bits] == word.bit_count()
+        assert len(free) == n - m
+        for j, (axes, word) in zip((j for j in range(n) if j not in pivots), free):
+            assert axes == tuple(m - 1 - i for i in range(m) if cols[j] >> i & 1)
+            assert word & ~on_pivots == 1 << j and mat.matvec(Gf2Vector(word, n)).bits == 0
+
+
+def test_linear_map_xors_the_images_of_set_bits():
+    rng = Random(43)
+    for count in (0, 1, 7, 8, 9, 24, 63):
+        images = [rng.getrandbits(63) for _ in range(count)]
+        words = [0, (1 << count) - 1] + [rng.getrandbits(count) for _ in range(50)]
+        expect = [0] * len(words)
+        for i, word in enumerate(words):
+            for b, image in enumerate(images):
+                if word >> b & 1:
+                    expect[i] ^= image
+        for dtype in (np.int64, np.uint64, "<u8", ">i8"):
+            out = linear_map(images)(np.array(words, dtype=dtype))
+            assert out.dtype == np.int64 and out.tolist() == expect, (count, dtype)
 
 
 @given(matrices(), st.data())
