@@ -21,15 +21,7 @@ from .codes import (
 )
 from .errors import CapacityError, ConfigurationError, ContractViolation
 from .gf2 import Gf2Matrix, Gf2Vector, random_matrix
-from .protocol import (
-    Message,
-    PartyId,
-    RunOutcome,
-    Transcript,
-    run_plain_km,
-    run_secure_km,
-    run_zero_error_otp,
-)
+from .protocol import Message, PartyId, RunOutcome, Transcript, run
 from .source import DsbsParams, binary_entropy
 
 __version__ = "0.1.0"
@@ -40,8 +32,7 @@ __all__ = [
     "DsbsParams", "binary_entropy",
     "LinearCode", "build_code", "code_from_matrix",
     "exact_error_probability",
-    "PartyId", "Message", "Transcript", "RunOutcome",
-    "run_secure_km", "run_plain_km", "run_zero_error_otp",
+    "PartyId", "Message", "Transcript", "RunOutcome", "run",
     "AffineJoint", "LeakageReport", "RateReport", "MonteCarloError",
     "affine_joint", "conditional_entropy", "conditional_mutual_information",
     "leakage_report", "rate_report", "check_rate_region", "monte_carlo_error",

@@ -20,17 +20,7 @@ import numpy as np
 from .codes import TABLE_GUARD_BITS, WORD_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
 from .gf2 import Gf2Vector, column, echelon, linear_map, pivot_start
-from .protocol import (
-    ALICE,
-    BOB,
-    CHARLIE,
-    PROTOCOLS,
-    ProtocolSpec,
-    check_instance,
-    run_plain_km,
-    run_secure_km,
-    run_zero_error_otp,
-)
+from .protocol import ALICE, BOB, CHARLIE, PROTOCOLS, ProtocolSpec, check_instance, run
 from .source import DsbsParams, binary_entropy
 
 __all__ = [
@@ -209,12 +199,7 @@ def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
     """Every variable of one (x, y, k) atom by name, and "wrong", whether the
     output is wrong, from a run of the message-passing code."""
     xv, yv, kv = Gf2Vector(x, n), Gf2Vector(y, n), Gf2Vector(k, klen)
-    if not spec.coded:
-        out = run_zero_error_otp(xv, yv, kv)
-    elif spec.masked:
-        out = run_secure_km(code, xv, yv, kv)
-    else:
-        out = run_plain_km(code, xv, yv)
+    out = run(spec.name, code, xv, yv, kv)
     link = out.transcript.link_payload
     return {"x": x, "y": y, "z": x ^ y, "k": k, "m12": link(ALICE, BOB).bits,
             "m13": link(ALICE, CHARLIE).bits, "m23": link(BOB, CHARLIE).bits,

@@ -1,10 +1,12 @@
 """Three-party XOR computation protocols with fully recorded transcripts.
 
 Party 1 (Alice) holds x, party 2 (Bob) holds y, party 3 (Charlie) must
-output x xor y. Each run returns the decoded output together with a
-transcript of every message in schedule order; message payloads are always
-computed from the sending party's own inputs, its private randomness, and
-the messages it has already received, so a transcript can be replayed.
+output x xor y. The registry `PROTOCOLS` describes each scheme by two flags,
+and one runner, `run`, drives every scheme from them. Each run returns the
+decoded output together with a transcript of every message in schedule
+order; message payloads are always computed from the sending party's own
+inputs, its private randomness, and the messages it has already received,
+so a transcript can be replayed.
 """
 from __future__ import annotations
 
@@ -22,9 +24,7 @@ __all__ = [
     "Transcript",
     "RunOutcome",
     "PROTOCOL_IDS",
-    "run_secure_km",
-    "run_plain_km",
-    "run_zero_error_otp",
+    "run",
     "nominal_rates",
 ]
 
@@ -145,40 +145,33 @@ def _charlie_output(transcript: Transcript, code: LinearCode | None) -> Gf2Vecto
     return m13 ^ m23 if code is None else code.decode(m13 ^ m23)
 
 
-def run_secure_km(code: LinearCode, x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) -> RunOutcome:
-    """Masked syndrome scheme: both syndromes travel one-time-padded with k."""
-    if x.n != code.n or y.n != code.n:
-        raise ContractViolation(f"inputs must have length {code.n}, got {x.n} and {y.n}")
-    if k.n != code.m:
-        raise ContractViolation(f"mask must have length {code.m}, got {k.n}")
-    m12 = Message(1, ALICE, BOB, k)
-    m13 = Message(1, ALICE, CHARLIE, k ^ code.syndrome(x))
-    # Bob masks with the bits he received, not with Alice's local variable.
-    m23 = Message(2, BOB, CHARLIE, m12.payload ^ code.syndrome(y))
-    transcript = Transcript((m12, m13, m23))
+def run(protocol_id: str, code: LinearCode | None, x: Gf2Vector, y: Gf2Vector,
+        k: Gf2Vector | None = None) -> RunOutcome:
+    """One run of the named scheme on Alice's x, Bob's y and Alice's key k.
+
+    Each party's message to Charlie is its syndrome H·input when the scheme is
+    coded, else its block. A masked scheme first deals k to Bob and pads both
+    of those messages with it; an unmasked one takes no key, or an empty one.
+    """
+    spec = protocol_spec(protocol_id)
+    if y.n != x.n:
+        raise ContractViolation(f"inputs must share one length, got {x.n} and {y.n}")
+    if not spec.coded:
+        code, a, b = None, x, y
+    elif code is None:
+        raise ConfigurationError(f"{protocol_id} needs a code")
+    else:
+        a, b = code.syndrome(x), code.syndrome(y)  # each checks its input's length
+    if not spec.masked:
+        if k is not None and k.n:
+            raise ContractViolation(f"{protocol_id} takes no key, got {k.n} bits")
+        transcript = Transcript((Message(1, ALICE, CHARLIE, a), Message(1, BOB, CHARLIE, b)))
+    elif k is None or k.n != a.n:
+        raise ContractViolation(f"key must have length {a.n}, got {'none' if k is None else k.n}")
+    else:
+        m12 = Message(1, ALICE, BOB, k)
+        # Bob masks with the bits he received, not with Alice's local variable.
+        m23 = Message(2, BOB, CHARLIE, m12.payload ^ b)
+        transcript = Transcript((m12, Message(1, ALICE, CHARLIE, k ^ a), m23))
     z_hat = _charlie_output(transcript, code)
     return RunOutcome(z_hat, transcript, z_hat == x ^ y)
-
-
-def run_plain_km(code: LinearCode, x: Gf2Vector, y: Gf2Vector) -> RunOutcome:
-    """Unmasked syndrome scheme; the 1-2 link stays silent."""
-    if x.n != code.n or y.n != code.n:
-        raise ContractViolation(f"inputs must have length {code.n}, got {x.n} and {y.n}")
-    m13 = Message(1, ALICE, CHARLIE, code.syndrome(x))
-    m23 = Message(1, BOB, CHARLIE, code.syndrome(y))
-    transcript = Transcript((m13, m23))
-    z_hat = _charlie_output(transcript, code)
-    return RunOutcome(z_hat, transcript, z_hat == x ^ y)
-
-
-def run_zero_error_otp(x: Gf2Vector, y: Gf2Vector, k: Gf2Vector) -> RunOutcome:
-    """Uncoded one-time-pad scheme; exact for every input pair."""
-    if y.n != x.n or k.n != x.n:
-        raise ContractViolation(f"inputs and pad must share one length, got {x.n}, {y.n}, {k.n}")
-    m12 = Message(1, ALICE, BOB, k)
-    m13 = Message(1, ALICE, CHARLIE, k ^ x)
-    m23 = Message(2, BOB, CHARLIE, m12.payload ^ y)
-    transcript = Transcript((m12, m13, m23))
-    z_hat = _charlie_output(transcript, None)
-    return RunOutcome(z_hat, transcript, z_hat == x ^ y)
-

@@ -33,7 +33,7 @@ from securesum.analysis import (
 from securesum.codes import LinearCode
 from securesum.errors import CapacityError, ContractViolation
 from securesum.gf2 import Gf2Vector, column, xor_span
-from securesum.protocol import RunOutcome, check_instance, run_plain_km, run_secure_km, run_zero_error_otp
+from securesum.protocol import RunOutcome, check_instance, run
 from securesum.source import DsbsParams
 
 # The enumeration walks 2**(2n + klen) atoms; refuse beyond this.
@@ -245,9 +245,7 @@ def sampled_run(protocol_id: str, params: DsbsParams, code: LinearCode | None,
     noise = sum(1 << i for i in range(n) if rng.random() < params.p)
     xv, yv = Gf2Vector(x, n), Gf2Vector(x ^ noise, n)
     k = Gf2Vector(rng.getrandbits(klen), klen) if spec.masked else None
-    if not spec.coded:
-        return xv, yv, run_zero_error_otp(xv, yv, k)
-    return xv, yv, run_secure_km(code, xv, yv, k) if spec.masked else run_plain_km(code, xv, yv)
+    return xv, yv, run(protocol_id, code, xv, yv, k)
 
 
 def rref_rows(n: int):

@@ -24,7 +24,7 @@ from securesum.analysis import (
 from securesum.cli import derive_run_seed, main
 from securesum.codes import build_code, exact_error_probability, m_for_rate
 from securesum.gf2 import Gf2Vector
-from securesum.protocol import ALICE, BOB, CHARLIE, run_zero_error_otp
+from securesum.protocol import ALICE, BOB, CHARLIE, run
 from securesum.source import DsbsParams, binary_entropy
 
 MASTER_SEED = 20240818
@@ -78,7 +78,7 @@ def test_criterion_2_uncoded_pad_scheme_is_exact(tmp_path):
     runs = 0
     for n in (1, 2, 3, 4):
         for xb, yb, kb in product(range(1 << n), repeat=3):
-            out = run_zero_error_otp(Gf2Vector(xb, n), Gf2Vector(yb, n), Gf2Vector(kb, n))
+            out = run("zero-error-otp", None, Gf2Vector(xb, n), Gf2Vector(yb, n), Gf2Vector(kb, n))
             assert out.correct and out.z_hat.bits == xb ^ yb
             link = out.transcript.link_payload
             assert link(ALICE, BOB).n == link(ALICE, CHARLIE).n == link(BOB, CHARLIE).n == n

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -24,7 +25,7 @@ from securesum.cli import ReportRow
 from securesum.codes import LinearCode, build_code, code_from_matrix, exact_error_probability
 from securesum.errors import CapacityError, ConfigurationError, ContractViolation
 from securesum.gf2 import Gf2Matrix, Gf2Vector, echelon
-from securesum.protocol import check_instance, run_plain_km, run_secure_km, run_zero_error_otp
+from securesum.protocol import check_instance, run
 from securesum.source import DsbsParams, binary_entropy
 
 FIXTURE = code_from_matrix(Gf2Matrix.from_rows([[1, 1, 0], [0, 1, 1]]))
@@ -133,12 +134,10 @@ def test_eps4_matches_standalone_oracle():
     pmf = enumerate_joint("plain-km", code, DsbsParams(p=p, n=3))
     joint: dict[tuple[int, int], float] = {}
     params = DsbsParams(p=p, n=3)
-    from securesum.protocol import run_plain_km
-
     for xb in range(8):
         for yb in range(8):
             x, y = Gf2Vector(xb, 3), Gf2Vector(yb, 3)
-            out = run_plain_km(code, x, y)
+            out = run("plain-km", code, x, y)
             key = (xb ^ yb, out.z_hat.bits)
             joint[key] = joint.get(key, 0.0) + pair_probability(params, x, y)
     h_joint = -sum(q * math.log2(q) for q in joint.values() if q > 0)
@@ -273,7 +272,7 @@ def _row_bytes(n, klen):
 
 def _reference_monte_carlo(protocol_id, code, params, trials, rng):
     """Errors of a per-trial loop over the documented layout: one randbytes row per
-    trial, read as x, the noise words and the key, then run by the protocol runners."""
+    trial, read as x, the noise words and the key, then run by `protocol.run`."""
     n = params.n
     _, _, klen = check_instance(protocol_id, code, n)
     xbytes = 4 * -(-n // 32)
@@ -286,13 +285,7 @@ def _reference_monte_carlo(protocol_id, code, params, trials, rng):
         z = sum(2**i for i, word in enumerate(noise) if word < limit)
         k = int.from_bytes(row[xbytes + 8 * n :], "little") % 2**klen
         xv, yv, kv = Gf2Vector(x, n), Gf2Vector(x ^ z, n), Gf2Vector(k, klen)
-        if protocol_id == "secure-km":
-            out = run_secure_km(code, xv, yv, kv)
-        elif protocol_id == "plain-km":
-            out = run_plain_km(code, xv, yv)
-        else:
-            out = run_zero_error_otp(xv, yv, kv)
-        errors += not out.correct
+        errors += not run(protocol_id, code, xv, yv, kv).correct
     return errors
 
 
@@ -414,17 +407,16 @@ def test_enumeration_guard():
 
 def test_enumeration_replay_check_varies_every_input(monkeypatch):
     # Every batch engine's self-check replays 64 atoms or trials of every
-    # protocol through its own runner, spread over x, y and k alike.
+    # protocol through a run of that protocol, spread over x, y and k alike.
     seen = []
-    for runner in ("run_secure_km", "run_plain_km", "run_zero_error_otp"):
-        def recording(*args, runner=runner, honest=getattr(analysis, runner)):
-            seen.append((runner, *(a.bits for a in args if isinstance(a, Gf2Vector))))
-            return honest(*args)
 
-        monkeypatch.setattr(analysis, runner, recording)
+    def recording(protocol_id, code, x, y, k):
+        seen.append((protocol_id, x.bits, y.bits, k.n, k.bits))
+        return run(protocol_id, code, x, y, k)
+
+    monkeypatch.setattr(analysis, "run", recording)
     code = build_code(8, 6, seed=2)
-    for protocol, runner, n in (("secure-km", "run_secure_km", 8), ("plain-km", "run_plain_km", 8),
-                                ("zero-error-otp", "run_zero_error_otp", 6)):
+    for protocol, n, klen in (("secure-km", 8, 6), ("plain-km", 8, 0), ("zero-error-otp", 6, 6)):
         arg, params = None if protocol == "zero-error-otp" else code, DsbsParams(p=0.2, n=n)
         for engine in (lambda: enumerate_joint(protocol, arg, params),
                        lambda: affine_joint(protocol, arg, params),
@@ -432,9 +424,10 @@ def test_enumeration_replay_check_varies_every_input(monkeypatch):
             seen.clear()
             engine()
             assert len(seen) == 64
-            assert {run[0] for run in seen} == {runner}
-            for i in range(1, len(seen[0])):
-                assert len({run[i] for run in seen}) > 1
+            assert {call[0] for call in seen} == {protocol}
+            assert {call[3] for call in seen} == {klen}
+            for i in (1, 2, 4) if klen else (1, 2):
+                assert len({call[i] for call in seen}) > 1
 
 
 def test_enumerate_joint_validation():
@@ -493,6 +486,29 @@ def test_affine_engine_joint_entropy_of_everything():
             # The pad leaks nothing, decodes z exactly and spends a key bit per symbol.
             assert all(abs(eps) <= 1e-10 for eps in vars(leakage_report(joint)).values()), n
             assert rate_report(joint).rho == pytest.approx(1.0, abs=1e-10)
+
+
+def test_leakage_closed_forms_hold_for_every_full_rank_code():
+    # For every full-rank H, secure-km leaks nothing and spends m key bits, and
+    # plain-km spends none and shows Charlie the m syndrome bits of each input
+    # beyond z. The pad leaks nothing, decodes z exactly and spends n key bits.
+    # Every row space at n <= 5 (m = 0 included) and random codes up to n = 63.
+    codes = [code_from_matrix(Gf2Matrix(rows, n)) for n in range(1, 6) for rows in rref_rows(n)]
+    assert len(codes) == 464
+    codes += [build_code(n, m, seed=seed) for n, m in ((40, 16), (63, 10), (63, 16)) for seed in (1, 2)]
+    instances = [(protocol, code, code.n) for code in codes for protocol in ("secure-km", "plain-km")]
+    instances += [("zero-error-otp", None, n) for n in (*range(1, 9), 63)]
+    for (protocol, code, n), p in itertools.product(instances, (0.05, 0.25)):
+        joint = affine_joint(protocol, code, DsbsParams(p=p, n=n))
+        leak, rho = leakage_report(joint), rate_report(joint).rho
+        rate = 1.0 if code is None else code.m / n
+        expect = {"eps1": 0.0, "eps2": 0.0, "eps3": rate if protocol == "plain-km" else 0.0,
+                  "rho": 0.0 if protocol == "plain-km" else rate}
+        if code is None:
+            expect["eps4"] = 0.0
+        got = {**vars(leak), "rho": rho}
+        for name, value in expect.items():
+            assert abs(got[name] - value) <= 1e-10, (protocol, code and code.matrix.to_string(), p, name)
 
 
 def test_affine_engine_replay_catches_a_corrupted_description(monkeypatch):

@@ -19,9 +19,7 @@ from securesum.protocol import (
     Transcript,
     _charlie_output,
     nominal_rates,
-    run_plain_km,
-    run_secure_km,
-    run_zero_error_otp,
+    run,
 )
 from securesum.source import DsbsParams
 
@@ -36,7 +34,7 @@ LINKS = ((PartyId.ALICE, PartyId.BOB), (PartyId.ALICE, PartyId.CHARLIE), (PartyI
 
 
 def test_secure_km_worked_trace():
-    out = run_secure_km(FIXTURE, X, Y, K)
+    out = run("secure-km", FIXTURE, X, Y, K)
     assert out.transcript.link_payload(PartyId.ALICE, PartyId.BOB) == K
     assert out.transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE) == Gf2Vector.from_bits([1, 0])
     assert out.transcript.link_payload(PartyId.BOB, PartyId.CHARLIE) == Gf2Vector.from_bits([0, 1])
@@ -46,7 +44,7 @@ def test_secure_km_worked_trace():
 
 
 def test_plain_km_worked_trace():
-    out = run_plain_km(FIXTURE, X, Y)
+    out = run("plain-km", FIXTURE, X, Y)
     assert out.z_hat == Gf2Vector.from_bits([0, 1, 0])
     assert out.correct
     assert out.transcript.link_payload(PartyId.ALICE, PartyId.BOB).n == 0
@@ -56,9 +54,8 @@ def test_plain_km_worked_trace():
 
 
 def test_otp_worked_trace():
-    out = run_zero_error_otp(
-        Gf2Vector.from_bits([1, 0]), Gf2Vector.from_bits([0, 0]), Gf2Vector.from_bits([1, 1])
-    )
+    out = run("zero-error-otp", None,
+              Gf2Vector.from_bits([1, 0]), Gf2Vector.from_bits([0, 0]), Gf2Vector.from_bits([1, 1]))
     assert out.transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE) == Gf2Vector.from_bits([0, 1])
     assert out.transcript.link_payload(PartyId.BOB, PartyId.CHARLIE) == Gf2Vector.from_bits([1, 1])
     assert out.z_hat == Gf2Vector.from_bits([1, 0])
@@ -68,14 +65,14 @@ def test_otp_worked_trace():
 def test_otp_exhaustive_correctness():
     for n in (1, 2, 3):
         for xb, yb, kb in product(range(1 << n), repeat=3):
-            out = run_zero_error_otp(Gf2Vector(xb, n), Gf2Vector(yb, n), Gf2Vector(kb, n))
+            out = run("zero-error-otp", None, Gf2Vector(xb, n), Gf2Vector(yb, n), Gf2Vector(kb, n))
             assert out.correct
             assert out.z_hat == Gf2Vector(xb ^ yb, n)
 
 
 def test_otp_zero_pad_still_correct():
     x, y = Gf2Vector.from_string("1011"), Gf2Vector.from_string("0110")
-    out = run_zero_error_otp(x, y, Gf2Vector.zeros(4))
+    out = run("zero-error-otp", None, x, y, Gf2Vector.zeros(4))
     assert out.transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE) == x
     assert out.correct
 
@@ -84,8 +81,8 @@ def test_mask_cancels_exhaustively():
     code = build_code(4, 2, seed=11)
     for xb, yb in product(range(16), repeat=2):
         x, y = Gf2Vector(xb, 4), Gf2Vector(yb, 4)
-        plain = run_plain_km(code, x, y).z_hat
-        outs = {run_secure_km(code, x, y, Gf2Vector(kb, 2)).z_hat for kb in range(4)}
+        plain = run("plain-km", code, x, y).z_hat
+        outs = {run("secure-km", code, x, y, Gf2Vector(kb, 2)).z_hat for kb in range(4)}
         assert outs == {plain}
 
 
@@ -97,13 +94,13 @@ def test_mask_cancels_on_sampled_pairs():
         x, y, out = sampled_run("plain-km", params, code, rng)
         plain = out.z_hat
         for kb in range(64):
-            assert run_secure_km(code, x, y, Gf2Vector(kb, 6)).z_hat == plain
+            assert run("secure-km", code, x, y, Gf2Vector(kb, 6)).z_hat == plain
 
 
 def test_equal_inputs_decode_to_zero():
     code = build_code(5, 3, seed=7)
     x = Gf2Vector.from_string("11010")
-    for out in (run_plain_km(code, x, x), run_secure_km(code, x, x, Gf2Vector(0b101, 3))):
+    for out in (run("plain-km", code, x, x), run("secure-km", code, x, x, Gf2Vector(0b101, 3))):
         assert out.z_hat == Gf2Vector.zeros(5)
         assert out.correct
 
@@ -177,10 +174,13 @@ def test_schedule_is_the_links_that_carry_messages():
 
 def test_registry_is_the_only_protocol_dispatch():
     # Every protocol ID spelt out in the program sits in the registry, so no
-    # branch elsewhere can compare against one.
+    # branch elsewhere can compare against one, and no name the program
+    # defines or imports is one spelt in snake case, so no per-scheme
+    # function, class or constant stands beside the registry's flags.
     src = Path(__file__).resolve().parents[1] / "src" / "securesum"
+    snake = [protocol.replace("-", "_") for protocol in PROTOCOL_IDS]
     registry = None
-    found = []
+    found, named = [], []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -189,21 +189,52 @@ def test_registry_is_the_only_protocol_dispatch():
                 registry = (node.lineno, node.end_lineno)
             if isinstance(node, ast.Constant) and node.value in PROTOCOL_IDS:
                 found.append((path.name, node.lineno, node.value))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.append((path.name, node.lineno, node.name))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named += [(path.name, node.lineno, name) for alias in node.names
+                          for name in (alias.name, alias.asname) if name]
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            named += [(path.name, node.lineno, t.id) for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
     assert registry is not None
     outside = [f for f in found if f[0] != "protocol.py" or not registry[0] <= f[1] <= registry[1]]
     assert outside == []
     assert sorted(value for *_, value in found) == sorted(PROTOCOL_IDS)
+    # A module-level assignment, a function, a class and an import are all read.
+    assert {"PROTOCOL_IDS", "protocol_spec", "ProtocolSpec", "check_instance"} <= {name for *_, name in named}
+    assert [f for f in named if any(id_ in f[2].lower() for id_ in snake)] == []
 
 
 def test_run_dimension_validation():
     with pytest.raises(ContractViolation):
-        run_secure_km(FIXTURE, Gf2Vector.zeros(4), Y, K)
+        run("secure-km", FIXTURE, Gf2Vector.zeros(4), Y, K)
     with pytest.raises(ContractViolation):
-        run_secure_km(FIXTURE, X, Y, Gf2Vector.zeros(3))
+        run("secure-km", FIXTURE, X, Y, Gf2Vector.zeros(3))
     with pytest.raises(ContractViolation):
-        run_plain_km(FIXTURE, X, Gf2Vector.zeros(2))
+        run("plain-km", FIXTURE, X, Gf2Vector.zeros(2))
     with pytest.raises(ContractViolation):
-        run_zero_error_otp(X, Y, Gf2Vector.zeros(2))
+        run("zero-error-otp", None, X, Y, Gf2Vector.zeros(2))
+    with pytest.raises(ContractViolation):
+        run("zero-error-otp", None, X, Gf2Vector.zeros(2), Gf2Vector.zeros(3))
+    # A masked scheme needs a key as long as its messages: m when coded, n for the pad.
+    for protocol, code, klen in (("secure-km", FIXTURE, 2), ("zero-error-otp", None, 3)):
+        with pytest.raises(ContractViolation, match="key"):
+            run(protocol, code, X, Y)
+        for wrong in (0, klen - 1, klen + 1):
+            with pytest.raises(ContractViolation, match="key"):
+                run(protocol, code, X, Y, Gf2Vector.zeros(wrong))
+    # An unmasked scheme takes no key, or an empty one.
+    for key in (K, Gf2Vector.zeros(2), Gf2Vector.zeros(1)):
+        with pytest.raises(ContractViolation, match="key"):
+            run("plain-km", FIXTURE, X, Y, key)
+    assert run("plain-km", FIXTURE, X, Y, Gf2Vector.zeros(0)) == run("plain-km", FIXTURE, X, Y)
+    with pytest.raises(ConfigurationError):
+        run("plain-km", None, X, Y)
+    with pytest.raises(ConfigurationError):
+        run("bogus", FIXTURE, X, Y, K)
 
 
 def test_link_payload_concatenates_each_link_in_schedule_order():
@@ -228,7 +259,7 @@ def test_message_validation():
     with pytest.raises(ContractViolation):
         message._replace(receiver=PartyId.ALICE)
     # The records of a run are read-only.
-    out = run_secure_km(FIXTURE, X, Y, K)
+    out = run("secure-km", FIXTURE, X, Y, K)
     for record, name in ((X, "bits"), (message, "sender"), (out.transcript, "messages"), (out, "correct")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
