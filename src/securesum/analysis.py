@@ -20,7 +20,7 @@ import numpy as np
 from .codes import TABLE_GUARD_BITS, WORD_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
 from .gf2 import Gf2Vector, column, echelon, linear_map, pivot_start
-from .protocol import ALICE, BOB, CHARLIE, PROTOCOLS, ProtocolSpec, check_instance, run
+from .protocol import ALICE, BOB, CHARLIE, ProtocolSpec, check_instance, run
 from .source import DsbsParams, binary_entropy
 
 __all__ = [
@@ -53,12 +53,12 @@ _GOLDEN_64 = 0x9E3779B97F4A7C15
 _MC_BATCH_BYTES = 1 << 15
 
 
-def _expand(protocol: str, widths: dict[str, int], variables) -> tuple[str, ...]:
-    """Sorted variable names of a set; "transcript" stands for the link payloads."""
+def _expand(widths: dict[str, int], variables) -> tuple[str, ...]:
+    """Sorted variable names of a set; "transcript" stands for all three links, empty or not."""
     names: list[str] = []
     for name in _names(variables):
         if name == "transcript":
-            names.extend(PROTOCOLS[protocol].schedule)
+            names.extend(("m12", "m13", "m23"))
         elif name in widths:
             names.append(name)
         else:
@@ -96,7 +96,7 @@ class AffineJoint:
 
     def entropy(self, variables) -> float:
         """Exact joint entropy (bits) of a set of variables."""
-        key = _expand(self.protocol, self.widths, variables)
+        key = _expand(self.widths, variables)
         if key in self._cache:
             return self._cache[key]
         basis = echelon(row for name in key for row in self.rows[name])

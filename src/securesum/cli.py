@@ -120,11 +120,12 @@ def _opt(raw: dict, key: str, kind, default):
     return default if raw.get(key) is None else _req(raw, key, kind)
 
 
-def _list(raw: dict, key: str, kind) -> list:
-    """A required non-empty list: a comma-separated string or a JSON list."""
+def _values(raw: dict, key: str, kind, sweep: bool = True) -> list:
+    """Required option --key as a list: for a sweep a non-empty comma-separated
+    string or JSON list, for another command its one value."""
     value = raw.get(key)
-    if value is None:
-        raise ConfigurationError(f"missing required option --{key}")
+    if value is None or not sweep:
+        return [_req(raw, key, kind)]
     if isinstance(value, str):
         value = [part.strip() for part in value.split(",") if part.strip()]
     elif not isinstance(value, (list, tuple)):
@@ -132,11 +133,6 @@ def _list(raw: dict, key: str, kind) -> list:
     if not value:
         raise ConfigurationError(f"--{key} list is empty")
     return [_cast(key, v, kind) for v in value]
-
-
-def _values(raw: dict, key: str, kind, sweep: bool) -> list:
-    """Option --key as a list: a sweep's comma list, or the one value of another command."""
-    return _list(raw, key, kind) if sweep else [_req(raw, key, kind)]
 
 
 def _check(key: str, values: list, ok, need: str) -> list:
@@ -183,7 +179,7 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 
 
 def _quad(raw: dict) -> tuple[float, float, float, float]:
-    parts = _list(raw, "quad", float)
+    parts = _values(raw, "quad", float)
     if len(parts) != 4:
         raise ConfigurationError(f"--quad needs four comma-separated rates, got {len(parts)}")
     if any(v < 0.0 for v in parts):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -149,9 +150,5 @@ def m_for_rate(n: int, rate: float) -> int:
     """
     if rate < 0.0 or rate > 1.0:
         raise ContractViolation(f"rate must lie in [0, 1], got {rate}")
-    digits, _, exponent = repr(rate).partition("e")
-    whole, _, fraction = digits.partition(".")
-    # rate == int(whole + fraction) / 10**scale, and scale >= 0 since rate <= 1.
-    scale = len(fraction) - int(exponent or 0)
-    return min(n, -(-n * int(whole + fraction) // 10**scale))
+    return min(n, math.ceil(n * Fraction(repr(rate))))
 

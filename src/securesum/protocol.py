@@ -3,8 +3,8 @@
 Party 1 (Alice) holds x, party 2 (Bob) holds y, party 3 (Charlie) must
 output x xor y. The registry `PROTOCOLS` describes each scheme by two flags,
 and one runner, `run`, drives every scheme from them. Each run returns the
-decoded output together with a transcript of every message in schedule
-order; message payloads are always computed from the sending party's own
+decoded output together with a transcript of every message in the order
+sent; message payloads are always computed from the sending party's own
 inputs, its private randomness, and the messages it has already received,
 so a transcript can be replayed.
 """
@@ -44,13 +44,10 @@ class ProtocolSpec:
     coded: bool
     masked: bool
 
-    @property
-    def schedule(self) -> tuple[str, ...]:
-        """The links that carry messages, in schedule order."""
-        return ("m12", "m13", "m23") if self.masked else ("m13", "m23")
-
     def lengths(self, n: int, m: int | None) -> tuple[int, int]:
         """(message length, key length) at block length n and syndrome length m."""
+        if self.coded and m is None:
+            raise ConfigurationError(f"{self.name} needs a code")
         mlen = m if self.coded else n
         return mlen, mlen if self.masked else 0
 
@@ -73,11 +70,9 @@ def protocol_spec(protocol_id: str) -> ProtocolSpec:
 def check_instance(protocol_id: str, code: LinearCode | None, n: int) -> tuple[ProtocolSpec, int, int]:
     """(spec, message length, key length) of one instance, after checking any code."""
     spec = protocol_spec(protocol_id)
-    if spec.coded and code is None:
-        raise ConfigurationError(f"{protocol_id} needs a code")
     if code is not None and code.n != n:
         raise ContractViolation(f"code length {code.n} != source length {n}")
-    return (spec, *spec.lengths(n, code.m if spec.coded else None))
+    return (spec, *spec.lengths(n, None if code is None else code.m))
 
 
 class PartyId(IntEnum):
@@ -117,7 +112,7 @@ class Transcript:
         object.__setattr__(self, "_links", links)
 
     def link_payload(self, a: PartyId, b: PartyId) -> Gf2Vector:
-        """Payload bits of one link concatenated in schedule order."""
+        """Payload bits of one link concatenated in the order sent."""
         return self._links.get(_link(a, b), _NO_PAYLOAD)
 
 
@@ -130,11 +125,8 @@ RunOutcome = NamedTuple("RunOutcome", [("z_hat", Gf2Vector), ("transcript", Tran
 
 
 def nominal_rates(protocol_id: str, n: int, m: int | None) -> tuple[float, float, float, float]:
-    """(r13, r23, r12, rho) fixed by the schedule and randomness accounting."""
-    spec = protocol_spec(protocol_id)
-    if spec.coded and m is None:
-        raise ConfigurationError(f"{protocol_id} needs a code")
-    mlen, klen = spec.lengths(n, m)
+    """(r13, r23, r12, rho) fixed by the message and key lengths."""
+    mlen, klen = protocol_spec(protocol_id).lengths(n, m)
     return (mlen / n, mlen / n, klen / n, klen / n)
 
 

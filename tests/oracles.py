@@ -55,7 +55,7 @@ class JointPmf:
     Columns hold the packed integer value of each variable per atom; `widths`
     gives the bit width of every variable. The variable name "transcript"
     may be used anywhere a variable set is accepted and expands to the
-    schedule-ordered link payloads. Same entropy interface as
+    payloads of all three links. Same entropy interface as
     `securesum.analysis.AffineJoint`.
     """
 
@@ -77,7 +77,7 @@ class JointPmf:
 
     def entropy(self, variables) -> float:
         """Exact joint entropy (bits) of a set of atom variables."""
-        key = _expand(self.protocol, self.widths, variables)
+        key = _expand(self.widths, variables)
         if key in self._cache:
             return self._cache[key]
         bits = sum(self.widths[name] for name in key)

@@ -674,7 +674,7 @@ def _noise_word_sum(joint):
 
 def _reference_entropy(joint, noise_entropy, variables):
     """H(variables) as the rank of the (x, k) part plus the noise-word sum."""
-    key = analysis._expand(joint.protocol, joint.widths, variables)
+    key = analysis._expand(joint.widths, variables)
     basis = echelon(row for name in key for row in joint.rows[name])
     noise = [row for row in basis if row >> 2 * joint.n == 0]
     return len(basis) - len(noise) + noise_entropy(noise)

@@ -124,6 +124,40 @@ def test_exact_error_probability_matches_enumeration_oracle():
             assert exact_error_probability(code, p) == pytest.approx(expect, abs=1e-13)
 
 
+def _hamming(r: int) -> Gf2Matrix:
+    """The (2^r - 1, m = r) Hamming code: column j of H is the binary form of j + 1."""
+    n = (1 << r) - 1
+    return Gf2Matrix(tuple(sum(((j + 1) >> i & 1) << j for j in range(n)) for i in range(r)), n)
+
+
+def _golay() -> Gf2Matrix:
+    """The binary Golay (23, m = 11) code: row i of H is the reversed check
+    polynomial (x^23 + 1)/g(x) shifted by i, with g = x^11+x^10+x^6+x^5+x^4+x^2+1."""
+    g = 0b110001110101
+    quotient, rest = 0, 1 << 23 | 1
+    while rest.bit_length() >= g.bit_length():
+        shift = rest.bit_length() - g.bit_length()
+        quotient |= 1 << shift
+        rest ^= g << shift
+    assert rest == 0 and quotient.bit_length() == 13
+    reversed_h = int(f"{quotient:013b}"[::-1], 2)
+    return Gf2Matrix(tuple(reversed_h << i for i in range(11)), 23)
+
+
+@pytest.mark.parametrize("matrix, t", [*((_hamming(r), 1) for r in range(3, 7)), (_golay(), 3)],
+                         ids=[*(f"hamming-{(1 << r) - 1}" for r in range(3, 7)), "golay-23"])
+def test_perfect_codes_decode_exactly_the_patterns_within_their_radius(matrix, t):
+    # A perfect code's cosets are the balls of radius t, so its leaders are
+    # every word of weight <= t and its error is the tail of the binomial.
+    code = code_from_matrix(matrix)
+    n = code.n
+    counts = np.bincount(np.bitwise_count(code.leaders), minlength=n + 1)
+    assert counts.tolist() == [math.comb(n, w) if w <= t else 0 for w in range(n + 1)]
+    for p in (0.01, 0.05, 0.2):
+        closed = 1.0 - sum(math.comb(n, w) * p**w * (1 - p) ** (n - w) for w in range(t + 1))
+        assert abs(exact_error_probability(code, p) - closed) <= 1e-13, p
+
+
 def test_leaders_match_brute_force_oracle():
     rng = Random(31)
     cases = [FIXTURE, Gf2Matrix.from_rows([[1, 1]])]

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from oracles import sampled_run
+from securesum.analysis import affine_joint
 from securesum.codes import build_code, code_from_matrix
 from securesum.errors import ConfigurationError, ContractViolation
 from securesum.gf2 import Gf2Matrix, Gf2Vector
@@ -162,14 +163,17 @@ def test_nominal_rates():
         nominal_rates("bogus", 3, 2)
 
 
-def test_schedule_is_the_links_that_carry_messages():
-    # The "transcript" variable of both exact engines expands to the schedule.
+def test_links_that_carry_messages_are_the_nonempty_link_variables():
+    # The "transcript" variable of both exact engines expands to all three
+    # links; a link that carries no message must be an empty variable there.
     code = build_code(6, 3, seed=2)
     links = {(1, 2): "m12", (1, 3): "m13", (2, 3): "m23"}
     for protocol, spec in PROTOCOLS.items():
-        _, _, out = sampled_run(protocol, DsbsParams(p=0.2, n=6), code if spec.coded else None, Random(5))
-        carried = [links[(int(m.sender), int(m.receiver))] for m in out.transcript.messages]
-        assert tuple(dict.fromkeys(carried)) == spec.schedule, protocol
+        coded = code if spec.coded else None
+        _, _, out = sampled_run(protocol, DsbsParams(p=0.2, n=6), coded, Random(5))
+        carried = {links[(int(m.sender), int(m.receiver))] for m in out.transcript.messages}
+        widths = affine_joint(protocol, coded, DsbsParams(p=0.2, n=6)).widths
+        assert carried == {name for name in links.values() if widths[name]}, protocol
 
 
 def test_registry_is_the_only_protocol_dispatch():
