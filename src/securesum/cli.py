@@ -100,7 +100,7 @@ def _cast(key: str, value, kind):
             if kind is float:
                 number = float(value)
                 if math.isfinite(number):
-                    return number
+                    return number + 0.0  # IEEE -0.0 + 0.0 is 0.0: -0 names the value 0
             elif not isinstance(value, float) or value.is_integer():
                 return int(value)
         except (TypeError, ValueError, OverflowError):
@@ -144,8 +144,7 @@ def _check(key: str, values: list, ok, need: str) -> list:
 
 
 def _flip_rates(raw: dict, sweep: bool) -> list[float]:
-    ps = _check("p", _values(raw, "p", float, sweep), lambda p: 0.0 <= p <= 0.5, "lie in [0, 1/2]")
-    return [abs(p) for p in ps]  # abs() turns -0.0 into the rate 0.0
+    return _check("p", _values(raw, "p", float, sweep), lambda p: 0.0 <= p <= 0.5, "lie in [0, 1/2]")
 
 
 def _count(raw: dict, key: str, default: int) -> int:
@@ -184,8 +183,7 @@ def _quad(raw: dict) -> tuple[float, float, float, float]:
         raise ConfigurationError(f"--quad needs four comma-separated rates, got {len(parts)}")
     if any(v < 0.0 for v in parts):
         raise ConfigurationError("rates cannot be negative")
-    # abs() turns -0.0 into the rate 0.0.
-    return tuple(abs(v) for v in parts)  # type: ignore[return-value]
+    return tuple(parts)  # type: ignore[return-value]
 
 
 def _instance_row(protocol: str, n: int, m: int, p: float, master_seed: int,

@@ -58,9 +58,6 @@ class Gf2Vector:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def concat(self, other: "Gf2Vector") -> "Gf2Vector":
-        return Gf2Vector(self.bits | other.bits << self.n, self.n + other.n)
-
     def __len__(self) -> int:
         return self.n
 
@@ -117,10 +114,6 @@ class Gf2Matrix:
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return self.cols
 
     def row(self, i: int) -> Gf2Vector:
         return Gf2Vector(self.rows[i], self.cols)
@@ -230,4 +223,4 @@ def random_matrix(m: int, n: int, rng: Random) -> Gf2Matrix:
         raise ContractViolation(f"dimensions must be non-negative, got {m}x{n}")
     if m > n:
         raise ContractViolation(f"need m <= n, got m={m} > n={n}")
-    return Gf2Matrix(tuple(rng.getrandbits(n) if n else 0 for _ in range(m)), n)
+    return Gf2Matrix(tuple(rng.getrandbits(n) for _ in range(m)), n)

@@ -105,14 +105,14 @@ class Transcript:
     _links: dict[tuple[PartyId, PartyId], Gf2Vector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        links = {}
-        for m in self.messages:
-            link = _link(m.sender, m.receiver)
-            links[link] = links[link].concat(m.payload) if link in links else m.payload
+        links = {_link(m.sender, m.receiver): m.payload for m in self.messages}
+        if len(links) < len(self.messages):
+            a, b = max(links, key=[_link(m.sender, m.receiver) for m in self.messages].count)
+            raise ContractViolation(f"the {a.name}-{b.name} link carries more than one message")
         object.__setattr__(self, "_links", links)
 
     def link_payload(self, a: PartyId, b: PartyId) -> Gf2Vector:
-        """Payload bits of one link concatenated in the order sent."""
+        """The payload of the one message on a link, or no bits."""
         return self._links.get(_link(a, b), _NO_PAYLOAD)
 
 

@@ -527,9 +527,17 @@ def test_negative_zero_flip_rate_is_zero(tmp_path):
     cfg = tmp_path / "p.json"
     cfg.write_text(json.dumps({"p": -0.0}))
     assert _run_main(commands[0] + ["--config", str(cfg)]) == _run_main(commands[0] + ["--p", "0"])
-    # A quadruple's -0 is the rate 0 too.
+    # A code rate's or a quadruple's -0 is the rate 0 too, as a flag or in --config.
     assert _run_main(["region", "--quad=-0,1,1,1", "--p", "0.1"]) == _run_main(
         ["region", "--quad", "0,1,1,1", "--p", "0.1"])
+    coded = ["sweep", "--protocol", "secure-km,plain-km", "--n", "6", "--p", "0.1", "--mode", "both",
+             "--trials", "300"]
+    assert _run_main(coded + ["--rate=-0"]) == _run_main(coded + ["--rate", "0"])
+    for argv, key, value, flag in ((coded, "rate", -0.0, "0"),
+                                   (["region", "--p", "0.1"], "quad", [-0.0, 1, 1, 1], "0,1,1,1")):
+        cfg.write_text(json.dumps({key: value}))
+        zero = _run_main(argv + [f"--{key}", flag])
+        assert zero[0] == 0 and _run_main(argv + ["--config", str(cfg)]) == zero, key
     # A list that starts with "-" reads the same after a space as after "=".
     exact = ["sweep", "--protocol", "plain-km", "--n", "4", "--m", "2", "--mode", "exact"]
     for argv, flag, value in ((exact, "--p", "-0,0"), (sweep, "--p", "-0,0"),

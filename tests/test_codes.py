@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import rref_rows
+from oracles import rref_rows, span_table
 from securesum.codes import (
     build_code,
     code_from_matrix,
@@ -122,6 +122,27 @@ def test_exact_error_probability_matches_enumeration_oracle():
             for w in wrong:
                 expect += p**w * (1 - p) ** (n - w)
             assert exact_error_probability(code, p) == pytest.approx(expect, abs=1e-13)
+
+
+def test_exact_error_is_the_maximum_likelihood_error_of_every_row_space():
+    # The ML error 1 - sum_s max_{z: Hz = s} P(z) depends on the row space
+    # alone and not on how ties are broken, so it checks the exact error
+    # without the leader table's tie-break. One reduced-row-echelon H per row
+    # space at n <= 6, m = 0 included.
+    ps = (0.01, 0.1, 0.3, 0.5)
+    codes = 0
+    for n in range(1, 7):
+        weights = np.bitwise_count(np.arange(1 << n))
+        probs = [p**weights * (1 - p) ** (n - weights) for p in ps]
+        for rows in rref_rows(n):
+            code = code_from_matrix(Gf2Matrix(rows, n))
+            syndromes = span_table(rows, n)
+            for p, prob in zip(ps, probs):
+                best = np.zeros(1 << len(rows))
+                np.maximum.at(best, syndromes, prob)
+                assert abs(exact_error_probability(code, p) - (1 - best.sum())) <= 1e-13, (rows, p)
+            codes += 1
+    assert codes == 3289
 
 
 def _hamming(r: int) -> Gf2Matrix:
@@ -313,7 +334,7 @@ def test_m_for_rate_is_the_ceiling_of_the_decimal_product(n, rate):
 
 def test_dimension_validation():
     code = code_from_matrix(FIXTURE)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="matrix has 3 columns, vector has 4"):
         code.syndrome(Gf2Vector.zeros(4))
     with pytest.raises(ContractViolation):
         code.decode(Gf2Vector.zeros(3))

@@ -241,17 +241,18 @@ def test_run_dimension_validation():
         run("bogus", FIXTURE, X, Y, K)
 
 
-def test_link_payload_concatenates_each_link_in_schedule_order():
-    # Every protocol sends one message per link; this transcript sends two on
-    # the 1-3 link, the second in the other direction, and none on the 1-2 link.
+def test_a_link_carries_at_most_one_message():
+    # Every scheme sends at most one message per link, so a second message on
+    # the 1-3 link, even in the other direction, is refused.
     a, b = Gf2Vector.from_string("10"), Gf2Vector.from_string("011")
-    transcript = Transcript((Message(1, PartyId.ALICE, PartyId.CHARLIE, a),
-                             Message(1, PartyId.BOB, PartyId.CHARLIE, b),
-                             Message(2, PartyId.CHARLIE, PartyId.ALICE, b)))
-    assert transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE) == Gf2Vector.from_string("10011")
+    messages = (Message(1, PartyId.ALICE, PartyId.CHARLIE, a), Message(1, PartyId.BOB, PartyId.CHARLIE, b))
+    with pytest.raises(ContractViolation, match="ALICE-CHARLIE link"):
+        Transcript(messages + (Message(2, PartyId.CHARLIE, PartyId.ALICE, b),))
+    transcript = Transcript(messages)
+    assert transcript.link_payload(PartyId.ALICE, PartyId.CHARLIE) == a
     assert transcript.link_payload(PartyId.BOB, PartyId.CHARLIE) == b
     assert transcript.link_payload(PartyId.ALICE, PartyId.BOB) == Gf2Vector.zeros(0)
-    assert [transcript.link_payload(a, b).n for a, b in LINKS] == [0, 5, 3]
+    assert [transcript.link_payload(a, b).n for a, b in LINKS] == [0, 2, 3]
     for u, v in product(PartyId, repeat=2):
         assert transcript.link_payload(u, v) == transcript.link_payload(v, u)
 
