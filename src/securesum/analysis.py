@@ -154,8 +154,8 @@ def _syndrome_law(parity: tuple[int, ...], n: int, p: float) -> np.ndarray:
     law = np.array([p**w * (1.0 - p) ** (m - w) for w in range(m + 1)])[weights]
     cube = law.reshape((2,) * m)
     moved = np.empty_like(cube)
-    for axes, _ in free:
-        np.multiply(np.flip(cube, axes), p, out=moved)
+    for flip, _ in free:
+        np.multiply(cube[flip], p, out=moved)
         cube *= 1.0 - p
         cube += moved
     return law
@@ -374,6 +374,8 @@ def check_rate_region(quad: Sequence[float], p: float) -> bool:
     values = tuple(float(v) for v in quad)
     if len(values) != 4:
         raise ContractViolation(f"need a quadruple, got {len(values)} values")
+    if not all(map(math.isfinite, values)):
+        raise ContractViolation(f"rates must be finite, got {values}")
     return min(values) >= binary_entropy(p) - REGION_SLACK
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
+from typing import Callable
 
 import numpy as np
 
@@ -28,12 +30,12 @@ TABLE_GUARD_BITS = 24
 WORD_GUARD_BITS = 63
 
 
-# The leader recovery rewrites the key table in blocks of this many syndromes,
-# so its temporaries stay small beside the table.
+# The weight count and the leader recovery each read the key table in blocks
+# of this many syndromes, so their temporaries stay small beside the table.
 _RECOVERY_BLOCK = 1 << 16
 
 
-def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
+def _leader_keys(matrix: Gf2Matrix) -> tuple[tuple[int, ...], Callable[[], np.ndarray]]:
     """Coset leaders by min-plus column passes on the `(2,)*m` cube of syndromes.
 
     `pivot_start` splits the columns into pivots and f free columns; the coset
@@ -45,9 +47,13 @@ def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
     pack the weight above f bits of reversed u. Each starts at the weight of
     its pivot word, and free column j, at reversed bit b, takes one pass
     key[s] <- min(key[s], key[s xor h_j] + (1 << f | 1 << b)) on the flipped
-    view of the cube. The least key of s then holds the leader's u, and the
-    leader is the pivot word of s xor the codeword of u. A weight is at most
-    m + 1, so a key takes bitlen(m + 1) + f <= 64 bits at any n <= 63.
+    view of the cube. A weight is at most m + 1, so a key takes
+    bitlen(m + 1) + f <= 64 bits at any n <= 63.
+
+    Returns the leaders' weight counts, read from the keys' weight fields, and
+    a function that rewrites the keys in place into the leader table: the least
+    key of s holds the leader's u, and the leader is the pivot word of s xor
+    the codeword of u. Exact error needs only the counts.
     """
     n, m = matrix.cols, matrix.m
     if n > WORD_GUARD_BITS:
@@ -59,34 +65,49 @@ def _leader_table(matrix: Gf2Matrix) -> np.ndarray:
     keys <<= np.uint64(f)
     cube = keys.reshape((2,) * m)
     moved = np.empty_like(cube)
-    for b, (axes, _) in enumerate(reversed(free)):
-        np.add(np.flip(cube, axes), np.uint64(1 << f | 1 << b), out=moved)
+    for b, (flip, _) in enumerate(reversed(free)):
+        np.add(cube[flip], np.uint64(1 << f | 1 << b), out=moved)
         np.minimum(cube, moved, out=cube)
     del moved
-    pivot_word = linear_map(units)
-    codeword = linear_map([word for _, word in reversed(free)])
-    leaders = keys.view(np.int64)
-    for lo in range(0, len(leaders), _RECOVERY_BLOCK):
-        block = leaders[lo:lo + _RECOVERY_BLOCK]
-        block[:] = pivot_word(np.arange(lo, lo + len(block))) ^ codeword(block & ((1 << f) - 1))
-    return leaders
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, len(keys), _RECOVERY_BLOCK):
+        block_weights = (keys[lo:lo + _RECOVERY_BLOCK] >> np.uint64(f)).astype(np.intp)
+        counts += np.bincount(block_weights, minlength=n + 1)
+
+    def recover() -> np.ndarray:
+        pivot_word = linear_map(units)
+        codeword = linear_map([word for _, word in reversed(free)])
+        leaders = keys.view(np.int64)
+        for lo in range(0, len(leaders), _RECOVERY_BLOCK):
+            block = leaders[lo:lo + _RECOVERY_BLOCK]
+            block[:] = pivot_word(np.arange(lo, lo + len(block))) ^ codeword(block & ((1 << f) - 1))
+        return leaders
+
+    return tuple(counts.tolist()), recover
 
 
 @dataclass(eq=False)
 class LinearCode:
-    """A full-rank m-by-n parity matrix with its complete coset-leader table.
+    """A full-rank m-by-n parity matrix with its coset leaders' weight counts.
 
+    `leaders_by_weight[w]` counts the coset leaders of weight w, w = 0..n.
     `leaders[s]` is the minimum-weight word whose syndrome is the packed
     value s; ties go to the smallest pattern with symbol 0 read as the most
     significant bit. Decoding via this table is exact maximum-likelihood for
-    any memoryless flip rate below 1/2.
+    any memoryless flip rate below 1/2. `leaders` calls `recover_leaders` once,
+    on first use, so a code that only gives its exact error never builds it.
     """
 
     n: int
     m: int
     matrix: Gf2Matrix
     seed: int | None
-    leaders: np.ndarray
+    leaders_by_weight: tuple[int, ...]
+    recover_leaders: Callable[[], np.ndarray]
+
+    @cached_property
+    def leaders(self) -> np.ndarray:
+        return self.recover_leaders()
 
     def syndrome(self, word: Gf2Vector) -> Gf2Vector:
         return self.matrix.matvec(word)
@@ -109,7 +130,7 @@ def code_from_matrix(matrix: Gf2Matrix) -> LinearCode:
         raise CapacityError(f"leader table needs 2^{m} entries, guard is 2^{TABLE_GUARD_BITS}")
     if matrix.rank() != m:
         raise ContractViolation(f"parity matrix rank {matrix.rank()} < m={m}")
-    return LinearCode(n=n, m=m, matrix=matrix, seed=None, leaders=_leader_table(matrix))
+    return LinearCode(n, m, matrix, None, *_leader_keys(matrix))
 
 
 def build_code(n: int, m: int, seed: int) -> LinearCode:
@@ -122,7 +143,7 @@ def build_code(n: int, m: int, seed: int) -> LinearCode:
     while True:
         matrix = random_matrix(m, n, rng)
         if matrix.rank() == m:
-            return LinearCode(n=n, m=m, matrix=matrix, seed=seed, leaders=_leader_table(matrix))
+            return LinearCode(n, m, matrix, seed, *_leader_keys(matrix))
 
 
 def exact_error_probability(code: LinearCode, p: float) -> float:
@@ -130,14 +151,13 @@ def exact_error_probability(code: LinearCode, p: float) -> float:
 
     A noise word decodes correctly exactly when it is the leader of its coset,
     so P_err = sum_w (C(n, w) - L_w) p^w (1-p)^(n-w), where L_w counts the
-    leaders of weight w.
+    leaders of weight w: `code.leaders_by_weight`, so no leader is read.
     """
     if not 0.0 <= p <= 0.5:
         raise ContractViolation(f"p must lie in [0, 1/2], got {p}")
     n = code.n
-    leaders_by_weight = np.bincount(np.bitwise_count(code.leaders), minlength=n + 1)
-    return float(sum((math.comb(n, w) - int(count)) * (p**w * (1.0 - p) ** (n - w))
-                     for w, count in enumerate(leaders_by_weight)))
+    return float(sum((math.comb(n, w) - count) * (p**w * (1.0 - p) ** (n - w))
+                     for w, count in enumerate(code.leaders_by_weight)))
 
 
 def m_for_rate(n: int, rate: float) -> int:
@@ -146,7 +166,7 @@ def m_for_rate(n: int, rate: float) -> int:
     The product is taken exactly on the rate as written, its shortest decimal
     form, so 25 * 0.28 is 7 and not the binary 7.000000000000001.
     """
-    if rate < 0.0 or rate > 1.0:
+    if not 0.0 <= rate <= 1.0:
         raise ContractViolation(f"rate must lie in [0, 1], got {rate}")
     return min(n, math.ceil(n * Fraction(repr(rate))))
 

@@ -35,9 +35,9 @@ class Gf2Vector:
         word = 0
         n = 0
         for v in values:
-            if v not in (0, 1):
-                raise ContractViolation(f"entries must be 0 or 1, got {v!r}")
-            word |= v << n
+            if v not in (0, 1) or not isinstance(v, (int, np.integer)):
+                raise ContractViolation(f"entries must be the integers 0 or 1, got {v!r}")
+            word |= int(v) << n
             n += 1
         return cls(word, n)
 
@@ -176,6 +176,9 @@ def linear_map(images: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
+_WHOLE, _REVERSED = slice(None), slice(None, None, -1)
+
+
 def pivot_start(rows: Sequence[int], n: int):
     """The pivot start of a full-rank parity matrix H, given by its packed rows.
 
@@ -186,10 +189,11 @@ def pivot_start(rows: Sequence[int], n: int):
 
     - `weights[s]`, the weight of the pivot word of s, for all 2^m syndromes;
     - `units[c]`, the pivot word of unit syndrome c;
-    - `free`, per non-pivot column j in increasing order, the axes of the
-      `(2,)*m` cube of syndromes (axis a is bit m - 1 - a of s) along which
-      adding column j flips s, and the codeword that is 1 at j and 0 at every
-      other non-pivot column.
+    - `free`, per non-pivot column j in increasing order, the slices that
+      reverse the `(2,)*m` cube of syndromes (axis a is bit m - 1 - a of s)
+      along the axes where adding column j flips s, so the view `cube[flip]`
+      holds at s the cell of s xor column j; and the codeword that is 1 at j
+      and 0 at every other non-pivot column.
     """
     m = len(rows)
     original, rows, tags, pivots = rows, list(rows), [1 << i for i in range(m)], []
@@ -207,7 +211,7 @@ def pivot_start(rows: Sequence[int], n: int):
     free, taken = [], sum(pivots)
     for j in range(n):
         if not taken >> j & 1:
-            free.append((tuple(m - 1 - i for i, row in enumerate(original) if row >> j & 1),
+            free.append((tuple(_REVERSED if row >> j & 1 else _WHOLE for row in reversed(original)),
                          1 << j | sum(pivot for pivot, row in zip(pivots, rows) if row >> j & 1)))
     return np.bitwise_count(xor_span(units)), units, free
 

@@ -167,6 +167,14 @@ def test_rate_region_membership():
     assert check_rate_region((0.0, 0.0, 0.0, 0.0), 0.0)
     with pytest.raises(ContractViolation):
         check_rate_region((0.9, 0.9, 0.9), 0.25)
+    # min() skips a NaN that is not first, so a non-finite rate is refused
+    # wherever it sits.
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            quad = [1.0] * 4
+            quad[i] = bad
+            with pytest.raises(ContractViolation, match="finite"):
+                check_rate_region(quad, 0.1)
 
 
 def test_lemma1_holds_for_otp():
@@ -632,12 +640,16 @@ def test_affine_engine_guard_and_validation():
     with pytest.raises(CapacityError, match="n <= 63"):
         affine_joint("zero-error-otp", None, DsbsParams(p=0.1, n=64))
     # The engine needs no 2^n words, only the leader table's limits: m <= 24 and n <= 63.
-    # These codes are built by hand, past the checks of build_code.
-    wide = LinearCode(n=64, m=1, matrix=Gf2Matrix((1,), 64), seed=None, leaders=np.array([0, 1]))
+    # These codes are built by hand, past the checks of build_code; both are
+    # refused before their leaders are asked for.
+    def unread():
+        raise AssertionError("the leader table was read")
+    wide = LinearCode(n=64, m=1, matrix=Gf2Matrix((1,), 64), seed=None,
+                      leaders_by_weight=(1, 1) + (0,) * 63, recover_leaders=unread)
     with pytest.raises(CapacityError, match="n <= 63"):
         affine_joint("plain-km", wide, DsbsParams(p=0.1, n=64))
     tall = LinearCode(n=30, m=25, matrix=Gf2Matrix(tuple(1 << i for i in range(25)), 30), seed=None,
-                      leaders=np.zeros(1, dtype=np.int64))
+                      leaders_by_weight=(0,) * 31, recover_leaders=unread)
     with pytest.raises(CapacityError, match="2\\^25"):
         affine_joint("secure-km", tall, DsbsParams(p=0.1, n=30))
     with pytest.raises(ConfigurationError):

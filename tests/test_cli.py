@@ -573,6 +573,10 @@ STDOUT_SHA256 = {
     "sweep --protocol secure-km,plain-km,zero-error-otp --n 4,9 --rate 0.5 --p 0.1,0.3 --mode leakage"
     " --seeds 2":
         "e2b43d8b9730acce7b46ec3932b28bb0e071685e440ae050e3fc701e811cb82a",
+    # Exact error alone: no line above it decodes a word with these codes.
+    "sweep --protocol secure-km,plain-km --n 12,20,22 --rate 0.6 --p 0.05 --mode exact --seeds 3"
+    " --aggregate":
+        "a6a7018e9a5ff473f4f5ece5998d046ddf82ccecafc5df13334a6a306f414999",
     # A 2^22-cell syndrome law, recorded when its passes ran in blocks of 2^20 cells.
     "leakage --protocol plain-km --n 26 --m 22 --p 0.1 --seed 4":
         "675535c7aaeea8a53dcac6ea8f477f7dcd2b29dc665b7dff642c9ea62d0ea17f",

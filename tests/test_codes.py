@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import securesum.codes as codes_module
 from oracles import rref_rows, span_table
+from securesum.cli import main as cli_main
 from securesum.codes import (
     build_code,
     code_from_matrix,
@@ -244,6 +246,45 @@ def test_leaders_match_weight_limited_reference_beyond_full_table():
         assert np.array_equal(code.leaders, reference), (n, m)
 
 
+def test_weight_counts_are_the_recovered_leaders_weights():
+    rng = Random(83)
+    codes = [code_from_matrix(Gf2Matrix(rows, n)) for n in range(1, 7) for rows in rref_rows(n)]
+    codes += [build_code(n, m, seed=rng.randrange(10**6))
+              for n, m in ((17, 16), (18, 12), (24, 9), (40, 14), (63, 16), (63, 3))]
+    codes.append(build_code(26, 2, seed=0))
+    ps = (0.01, 0.1, 0.3, 0.5)
+    for code in codes:
+        # The counts come from the min-plus keys, before any leader exists.
+        errors = [exact_error_probability(code, p) for p in ps]
+        assert "leaders" not in vars(code)
+        n = code.n
+        counts = np.bincount(np.bitwise_count(code.leaders), minlength=n + 1)
+        assert code.leaders_by_weight == tuple(counts.tolist()), code.matrix
+        # Bit for bit the error summed from the weights of the recovered table.
+        assert errors == [float(sum((math.comb(n, w) - int(count)) * (p**w * (1.0 - p) ** (n - w))
+                                    for w, count in enumerate(counts))) for p in ps], code.matrix
+
+
+def test_exact_error_leaves_the_leader_table_unbuilt(monkeypatch):
+    rng = Random(89)
+    for n, m in ((12, 8), (20, 12), (22, 14), (18, 17)):
+        code = build_code(n, m, seed=rng.randrange(10**6))
+        assert 0.0 < exact_error_probability(code, 0.05) < 1.0
+        assert "leaders" not in vars(code)
+        # Recovered on first use, once, into the table the reference sorts out.
+        table = code.leaders
+        assert code.leaders is table
+        assert np.array_equal(table, _sorted_leader_reference(code.matrix)), (n, m)
+    # An exact-only sweep never recovers a table: recovery's byte maps are never built.
+    def unbuilt(images):
+        raise AssertionError("a leader table was recovered")
+    monkeypatch.setattr(codes_module, "linear_map", unbuilt)
+    argv = "sweep --protocol secure-km,plain-km --n 12,20 --rate 0.6 --p 0.05 --mode exact --seeds 2"
+    assert cli_main(argv.split()) == 0
+    with pytest.raises(AssertionError, match="recovered"):  # the patch does reach recovery
+        build_code(8, 4, seed=1).leaders
+
+
 def test_build_code_deterministic_and_full_rank():
     a = build_code(8, 4, seed=5)
     b = build_code(8, 4, seed=5)
@@ -313,8 +354,9 @@ def test_m_for_rate_rounds_up():
     assert m_for_rate(4, 0.5) == 2
     assert m_for_rate(3, 1.0) == 3
     assert m_for_rate(5, 0.0) == 0
-    with pytest.raises(ContractViolation):
-        m_for_rate(5, 1.2)
+    for bad in (1.2, -0.1, math.inf, math.nan):
+        with pytest.raises(ContractViolation):
+            m_for_rate(5, bad)
 
 
 def test_m_for_rate_takes_the_rate_as_written():

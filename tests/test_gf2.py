@@ -148,8 +148,14 @@ def test_pivot_start_is_the_last_information_set():
             if word & ~on_pivots == 0:
                 assert weights[mat.matvec(Gf2Vector(word, n)).bits] == word.bit_count()
         assert len(free) == n - m
-        for j, (axes, word) in zip((j for j in range(n) if j not in pivots), free):
-            assert axes == tuple(m - 1 - i for i in range(m) if cols[j] >> i & 1)
+        cube = np.arange(1 << m).reshape((2,) * m)
+        for j, (flip, word) in zip((j for j in range(n) if j not in pivots), free):
+            # Axis a is bit m - 1 - a of s: reversed exactly where column j is 1.
+            axes = tuple(m - 1 - i for i in range(m) if cols[j] >> i & 1)
+            assert flip == tuple(slice(None, None, -1) if a in axes else slice(None) for a in range(m))
+            assert np.array_equal(cube[flip], np.flip(cube, axes))
+            assert m == 0 or np.shares_memory(cube[flip], cube)
+            assert np.array_equal(np.ravel(cube[flip]), np.arange(1 << m) ^ cols[j])
             assert word & ~on_pivots == 1 << j and mat.matvec(Gf2Vector(word, n)).bits == 0
 
 
@@ -258,6 +264,11 @@ def test_dimension_mismatches_rejected():
         Gf2Vector(0, -1)
     with pytest.raises(ContractViolation):
         Gf2Vector.from_bits([0, 2, 1])
+    # 1.0 == 1, but a float is not a bit.
+    for bad in (1.0, 0.0, "1"):
+        with pytest.raises(ContractViolation, match="integers 0 or 1"):
+            Gf2Vector.from_bits([1, bad])
+    assert Gf2Vector.from_bits([np.uint8(1), True, 0, np.int64(1)]) == Gf2Vector.from_string("1101")
 
 
 def test_empty_cases():
