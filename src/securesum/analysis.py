@@ -10,6 +10,7 @@ exactly; sampling is used for error rates alone.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
@@ -19,7 +20,7 @@ import numpy as np
 
 from .codes import TABLE_GUARD_BITS, WORD_GUARD_BITS, LinearCode
 from .errors import CapacityError, ConfigurationError, ContractViolation
-from .gf2 import Gf2Vector, column, echelon, linear_map, pivot_start
+from .gf2 import Gf2Batch, column, echelon, linear_map, pivot_start
 from .protocol import ALICE, BOB, CHARLIE, ProtocolSpec, check_instance, run
 from .source import DsbsParams, binary_entropy
 
@@ -50,7 +51,7 @@ _GOLDEN_64 = 0x9E3779B97F4A7C15
 
 # Generator bytes drawn per Monte Carlo batch, which bounds the batch's memory
 # whatever the trial count or block length.
-_MC_BATCH_BYTES = 1 << 15
+_MC_BATCH_BYTES = 1 << 16
 
 
 def _expand(widths: dict[str, int], variables) -> tuple[str, ...]:
@@ -194,39 +195,40 @@ def _identity(words):
     return words
 
 
-def _replay(spec: ProtocolSpec, code: LinearCode | None, n: int,
-            x: int, y: int, k: int, klen: int) -> dict:
-    """Every variable of one (x, y, k) atom by name, and "wrong", whether the
-    output is wrong, from a run of the message-passing code."""
-    xv, yv, kv = Gf2Vector(x, n), Gf2Vector(y, n), Gf2Vector(k, klen)
-    out = run(spec.name, code, xv, yv, kv)
-    link = out.transcript.link_payload
-    return {"x": x, "y": y, "z": x ^ y, "k": k, "m12": link(ALICE, BOB).bits,
-            "m13": link(ALICE, CHARLIE).bits, "m23": link(BOB, CHARLIE).bits,
-            "zhat": out.z_hat.bits, "wrong": not out.correct}
-
-
 def _spread(size: int) -> list[int]:
-    """Up to `_REPLAYS` indices below `size`, at an odd stride near size/phi.
+    """Up to `_REPLAYS` distinct indices below `size`, at the first stride from
+    size/phi, made odd, that is coprime to `size`.
 
     An atom index (x << n | y) << klen | k taken this way varies x, y and k alike.
     """
     stride = (size * _GOLDEN_64 >> 64) | 1
+    while math.gcd(stride, size) != 1:
+        stride += 2
     return [i * stride % size for i in range(min(_REPLAYS, size))]
 
 
 def _check_replays(spec: ProtocolSpec, code: LinearCode | None, n: int, klen: int,
                    what: str, atoms) -> None:
     """Raise unless each (label, (x, y, k), values) atom of a batch engine agrees
-    with a run of the message-passing code on that x, y and k. `values` maps
-    the names the engine computed, any of the replay's, to their values, and
-    each is compared with the replay's value of that name. The inputs come
-    apart from the values, so an engine that misreads x, y or k alike in
-    every variable is still caught."""
-    for label, inputs, values in atoms:
-        replay = _replay(spec, code, n, *inputs, klen)
-        if any(replay[name] != value for name, value in values.items()):
-            raise RuntimeError(f"{what} {label} disagrees with protocol replay")
+    with the message-passing code on that x, y and k: one `protocol.run` on
+    `Gf2Batch`es runs all atoms, its syndromes row parities apart from the
+    engines' byte tables. `values` maps the names the engine computed, any of
+    the replay's, to their values; each is compared with the replay's over all
+    atoms, and the error names the first atom that disagrees. The inputs come
+    apart from the values, so an engine that misreads x, y or k alike in every
+    variable is still caught."""
+    labels, inputs, values = zip(*atoms)
+    x, y, k = (Gf2Batch(words, width) for words, width in zip(zip(*inputs), (n, n, klen)))
+    out = run(spec.name, code, x, y, k)
+    link = out.transcript.link_payload
+    replay = {"x": x.bits, "y": y.bits, "z": (x ^ y).bits, "k": k.bits, "m12": link(ALICE, BOB).bits,
+              "m13": link(ALICE, CHARLIE).bits, "m23": link(BOB, CHARLIE).bits,
+              "zhat": out.z_hat.bits, "wrong": ~out.correct}
+    agree = np.ones(len(labels), dtype=bool)
+    for name in {name for named in values for name in named}:
+        agree &= replay[name] == np.array([named[name] for named in values], dtype=object)
+    if not agree.all():
+        raise RuntimeError(f"{what} {labels[np.argmin(agree)]} disagrees with protocol replay")
 
 
 def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> AffineJoint:
@@ -235,9 +237,9 @@ def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) 
     Words are packed in int64, so n <= 63. A code needs the leader of every
     syndrome, so m <= 24 as for its leader table; an uncoded protocol's
     syndrome is z, whose entropy has a closed form. Every call evaluates the
-    description at a spread sample of (x, y, k) atoms and compares it with a
-    replay through the message-passing engine, so the algebra cannot drift
-    from the protocols it claims to summarise.
+    description at a spread sample of 64 distinct (x, y, k) atoms and compares
+    it with one batched replay of them through the message-passing engine, so
+    the algebra cannot drift from the protocols it claims to summarise.
     """
     n = params.n
     spec, mlen, klen = check_instance(protocol_id, code, n)
@@ -403,10 +405,11 @@ def monte_carlo_error(
     size never changes what a trial reads. Charlie decodes m13 xor m23 = H·z,
     so a run is wrong exactly when the batch decoder maps the noise word z to
     another word, and a batch computes nothing but z, its decoded sum and that
-    verdict. Every call replays a spread sample of trials through the
-    message-passing code on the (x, y, k) read from their row bytes alone, and
-    compares those three by name, so the batch can drift neither from the
-    protocols nor from the trial bytes.
+    verdict. A batch holds at most 64 KiB of row bytes, or one wider row.
+    Every call replays a spread sample of 64 distinct trials in one batched run
+    of the message-passing code on the (x, y, k) read from their row bytes
+    alone, and compares those three by name, so the batch can drift neither
+    from the protocols nor from the trial bytes.
     """
     if trials < 1:
         raise ContractViolation(f"need at least one trial, got {trials}")
@@ -456,8 +459,7 @@ def _trial_inputs(row: bytes, n: int, klen: int, limit: int) -> tuple[int, int, 
     """(x, y, k) of one trial from its row of generator bytes, apart from the batch decode."""
     xbytes = 4 * -(-n // 32)
     x = int.from_bytes(row[:xbytes], "little") & ((1 << n) - 1)
-    z = sum(1 << i for i in range(n)
-            if int.from_bytes(row[xbytes + 8 * i : xbytes + 8 * i + 8], "little") < limit)
+    z = sum(1 << i for i, word in enumerate(struct.unpack_from(f"<{n}Q", row, xbytes)) if word < limit)
     return x, x ^ z, int.from_bytes(row[xbytes + 8 * n :], "little") & ((1 << klen) - 1)
 
 

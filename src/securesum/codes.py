@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector, linear_map, pivot_start, random_matrix
+from .gf2 import Gf2Batch, Gf2Matrix, Gf2Vector, linear_map, pivot_start, random_matrix
 
 __all__ = [
     "LinearCode",
@@ -109,12 +109,14 @@ class LinearCode:
     def leaders(self) -> np.ndarray:
         return self.recover_leaders()
 
-    def syndrome(self, word: Gf2Vector) -> Gf2Vector:
+    def syndrome(self, word: Gf2Vector | Gf2Batch) -> Gf2Vector | Gf2Batch:
         return self.matrix.matvec(word)
 
-    def decode(self, synd: Gf2Vector) -> Gf2Vector:
+    def decode(self, synd: Gf2Vector | Gf2Batch) -> Gf2Vector | Gf2Batch:
         if synd.n != self.m:
             raise ContractViolation(f"syndrome must have length {self.m}, got {synd.n}")
+        if isinstance(synd, Gf2Batch):
+            return Gf2Batch(self.leaders[synd.bits], self.n)
         return Gf2Vector(self.leaders.item(synd.bits), self.n)
 
     def __repr__(self) -> str:

@@ -11,6 +11,7 @@ from .errors import ContractViolation
 
 __all__ = [
     "Gf2Vector",
+    "Gf2Batch",
     "Gf2Matrix",
     "random_matrix",
 ]
@@ -81,6 +82,36 @@ class Gf2Vector:
 _set_bits, _set_n = Gf2Vector.bits.__set__, Gf2Vector.n.__set__  # write-once, past the frozen __setattr__
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class Gf2Batch:
+    """Vectors of one length n as a 1-D array of `Gf2Vector.bits` words, int64 when
+    n <= 63 and Python ints beyond; `^` works word by word, `==` gives one bool each."""
+
+    bits: np.ndarray
+    n: int
+
+    def __init__(self, bits, n: int):
+        if n < 0:
+            raise ContractViolation(f"vector length must be non-negative, got {n}")
+        try:
+            words = np.asarray(bits, dtype=np.int64 if n < 64 else object)
+        except OverflowError:  # a word past 64 bits, refused below
+            words = np.asarray(bits, dtype=object)
+        wide = (words >> n) != 0
+        if wide.any():
+            raise ContractViolation(f"value {int(words[wide][0]):#x} does not fit in {n} bits")
+        object.__setattr__(self, "bits", words)
+        object.__setattr__(self, "n", n)
+
+    def __xor__(self, other: "Gf2Batch") -> "Gf2Batch":
+        if self.n != other.n:
+            raise ContractViolation(f"length mismatch: {self.n} vs {other.n}")
+        return Gf2Batch(self.bits ^ other.bits, self.n)
+
+    def __eq__(self, other: "Gf2Batch") -> np.ndarray:
+        return (self.bits == other.bits) & (self.n == other.n)
+
+
 @dataclass(frozen=True, slots=True)
 class Gf2Matrix:
     """Immutable matrix; rows are packed words, bit j of a row is column j."""
@@ -121,9 +152,13 @@ class Gf2Matrix:
     def to_string(self) -> str:
         return ";".join(self.row(i).to_string() for i in range(self.m))
 
-    def matvec(self, vec: Gf2Vector) -> Gf2Vector:
+    def matvec(self, vec: Gf2Vector | Gf2Batch) -> Gf2Vector | Gf2Batch:
+        """H·vec; on a batch of int64 words, bit i of each image is the parity of row i and the word."""
         if vec.n != self.cols:
             raise ContractViolation(f"matrix has {self.cols} columns, vector has {vec.n}")
+        if isinstance(vec, Gf2Batch):
+            parities = np.bitwise_count(vec.bits[:, None] & np.array(self.rows, dtype=np.int64)) & 1
+            return Gf2Batch(parities @ (1 << np.arange(self.m, dtype=np.int64)), self.m)
         word = 0
         for i, row in enumerate(self.rows):
             word |= ((row & vec.bits).bit_count() & 1) << i

@@ -144,6 +144,8 @@ def run(protocol_id: str, code: LinearCode | None, x: Gf2Vector, y: Gf2Vector,
     Each party's message to Charlie is its syndrome H·input when the scheme is
     coded, else its block. A masked scheme first deals k to Bob and pads both
     of those messages with it; an unmasked one takes no key, or an empty one.
+    On `Gf2Batch`es, one run per word, every payload but an empty 1-2 link and
+    z_hat are batches too, and `correct` is a bool array.
     """
     spec = protocol_spec(protocol_id)
     if y.n != x.n:

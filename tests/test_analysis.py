@@ -415,11 +415,11 @@ def test_enumeration_guard():
 
 def test_enumeration_replay_check_varies_every_input(monkeypatch):
     # Every batch engine's self-check replays 64 atoms or trials of every
-    # protocol through a run of that protocol, spread over x, y and k alike.
+    # protocol in one batched run of that protocol, spread over x, y and k alike.
     seen = []
 
     def recording(protocol_id, code, x, y, k):
-        seen.append((protocol_id, x.bits, y.bits, k.n, k.bits))
+        seen.append((protocol_id, x.bits.tolist(), y.bits.tolist(), k.n, k.bits.tolist()))
         return run(protocol_id, code, x, y, k)
 
     monkeypatch.setattr(analysis, "run", recording)
@@ -431,11 +431,19 @@ def test_enumeration_replay_check_varies_every_input(monkeypatch):
                        lambda: monte_carlo_error(protocol, arg, params, 1000, Random(4))):
             seen.clear()
             engine()
-            assert len(seen) == 64
-            assert {call[0] for call in seen} == {protocol}
-            assert {call[3] for call in seen} == {klen}
-            for i in (1, 2, 4) if klen else (1, 2):
-                assert len({call[i] for call in seen}) > 1
+            [(protocol_id, x, y, key_length, k)] = seen
+            assert protocol_id == protocol and key_length == klen
+            assert len(x) == len(y) == len(k) == 64
+            for words in (x, y, k) if klen else (x, y):
+                assert len(set(words)) > 1
+
+
+def test_spread_indices_are_distinct_at_every_size():
+    # The stride is coprime to every size, so no index repeats: a trial count
+    # of 777 once replayed 21 distinct trials. Powers of two keep their stride.
+    for size in range(1, 20001):
+        assert len(set(analysis._spread(size))) == min(64, size), size
+    assert analysis._spread(1 << 150)[1] == (1 << 150) * analysis._GOLDEN_64 >> 64 | 1
 
 
 def test_enumerate_joint_validation():

@@ -20,7 +20,7 @@ from securesum.codes import (
     m_for_rate,
 )
 from securesum.errors import CapacityError, ContractViolation
-from securesum.gf2 import Gf2Matrix, Gf2Vector
+from securesum.gf2 import Gf2Batch, Gf2Matrix, Gf2Vector
 
 FIXTURE = Gf2Matrix.from_rows([[1, 1, 0], [0, 1, 1]])
 
@@ -102,6 +102,9 @@ def test_fixture_decode():
     code = code_from_matrix(FIXTURE)
     assert code.decode(Gf2Vector.from_bits([1, 1])) == Gf2Vector.from_string("010")
     assert code.decode(Gf2Vector.from_bits([1, 0])) == Gf2Vector.from_string("100")
+    # A batch of syndromes decodes word by word, through the same table.
+    decoded = code.decode(Gf2Batch([0b11, 0b01, 0b00, 0b10], 2))
+    assert decoded.n == 3 and decoded.bits.tolist() == [0b010, 0b001, 0b000, 0b100]
 
 
 def test_fixture_exact_error_probability():
@@ -380,6 +383,10 @@ def test_dimension_validation():
         code.syndrome(Gf2Vector.zeros(4))
     with pytest.raises(ContractViolation):
         code.decode(Gf2Vector.zeros(3))
+    with pytest.raises(ContractViolation, match="syndrome must have length 2, got 3"):
+        code.decode(Gf2Batch([0, 1], 3))
+    with pytest.raises(ContractViolation, match="matrix has 3 columns, vector has 4"):
+        code.syndrome(Gf2Batch([0, 1], 4))
     with pytest.raises(ContractViolation):
         build_code(3, 4, seed=0)
     with pytest.raises(ContractViolation):

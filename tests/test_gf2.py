@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import span_table
 from securesum.errors import ContractViolation
 from securesum.gf2 import (
+    Gf2Batch,
     Gf2Matrix,
     Gf2Vector,
     echelon,
@@ -269,6 +270,40 @@ def test_dimension_mismatches_rejected():
         with pytest.raises(ContractViolation, match="integers 0 or 1"):
             Gf2Vector.from_bits([1, bad])
     assert Gf2Vector.from_bits([np.uint8(1), True, 0, np.int64(1)]) == Gf2Vector.from_string("1101")
+
+
+def test_batches_match_the_vectors_word_by_word():
+    rng = Random(17)
+    for _ in range(200):
+        n = rng.randint(0, 63)
+        mat = random_matrix(rng.randint(0, min(n, 24)), n, rng)
+        words, others = ([rng.getrandbits(n) for _ in range(9)] for _ in range(2))
+        batch, other = Gf2Batch(words, n), Gf2Batch(others, n)
+        image = mat.matvec(batch)
+        assert image.n == mat.m and image.bits.dtype == np.int64
+        assert image.bits.tolist() == [mat.matvec(Gf2Vector(w, n)).bits for w in words]
+        assert (batch ^ other).bits.tolist() == [u ^ v for u, v in zip(words, others)]
+        assert (batch == other).tolist() == [u == v for u, v in zip(words, others)]
+    # Past 63 bits the words are Python ints.
+    wide = Gf2Batch([(1 << 70) - 1, 5], 70)
+    assert wide.bits.dtype == object
+    assert (wide ^ Gf2Batch([1, 5], 70)).bits.tolist() == [(1 << 70) - 2, 0]
+    assert (wide == Gf2Batch([5, 5], 70)).tolist() == [False, True]
+    assert (Gf2Batch([1], 2) == Gf2Batch([1], 3)).tolist() == [False]
+
+
+def test_batch_validation():
+    # Negative words, words wider than n (also past 64 bits) and lengths that
+    # do not match are refused as for a single vector.
+    for words, n in (([1, -1], 3), ([8], 3), ([-1], 70), ([1 << 64], 8), ([1 << 63], 63), ([1 << 70], 70)):
+        with pytest.raises(ContractViolation, match=f"does not fit in {n} bits"):
+            Gf2Batch(words, n)
+    with pytest.raises(ContractViolation, match="length must be non-negative"):
+        Gf2Batch([0], -1)
+    with pytest.raises(ContractViolation, match="length mismatch: 2 vs 3"):
+        Gf2Batch([1], 2) ^ Gf2Batch([1], 3)
+    with pytest.raises(ContractViolation, match="matrix has 3 columns, vector has 2"):
+        Gf2Matrix.from_string("110;011").matvec(Gf2Batch([1, 2], 2))
 
 
 def test_empty_cases():

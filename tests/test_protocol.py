@@ -5,13 +5,14 @@ from itertools import product
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from oracles import sampled_run
 from securesum.analysis import affine_joint
 from securesum.codes import build_code, code_from_matrix
 from securesum.errors import ConfigurationError, ContractViolation
-from securesum.gf2 import Gf2Matrix, Gf2Vector
+from securesum.gf2 import Gf2Batch, Gf2Matrix, Gf2Vector
 from securesum.protocol import (
     PROTOCOL_IDS,
     PROTOCOLS,
@@ -210,6 +211,45 @@ def test_registry_is_the_only_protocol_dispatch():
     # A module-level assignment, a function, a class and an import are all read.
     assert {"PROTOCOL_IDS", "protocol_spec", "ProtocolSpec", "check_instance"} <= {name for *_, name in named}
     assert [f for f in named if any(id_ in f[2].lower() for id_ in snake)] == []
+
+
+def _assert_batch_matches_scalar_runs(protocol, code, n, klen, atoms):
+    """One batched run on the (x, y, k) atoms equals a scalar run on each, atom by atom."""
+    x, y, k = (Gf2Batch(words, width) for words, width in zip(zip(*atoms), (n, n, klen)))
+    batch = run(protocol, code, x, y, k)
+    scalar = [run(protocol, code, Gf2Vector(a, n), Gf2Vector(b, n), Gf2Vector(c, klen)) for a, b, c in atoms]
+    assert batch.z_hat.n == n and batch.z_hat.bits.tolist() == [out.z_hat.bits for out in scalar]
+    assert batch.correct.dtype == bool and batch.correct.tolist() == [out.correct for out in scalar]
+    for a, b in LINKS:
+        payload = batch.transcript.link_payload(a, b)
+        assert payload.n == scalar[0].transcript.link_payload(a, b).n
+        words = np.broadcast_to(np.asarray(payload.bits), len(atoms)).tolist()
+        assert words == [out.transcript.link_payload(a, b).bits for out in scalar], (protocol, n, a, b)
+    return batch
+
+
+def test_batched_run_matches_scalar_runs_at_every_small_atom():
+    for n in range(1, 5):
+        for m in range(n + 1):
+            code = build_code(n, m, seed=31 * n + m)
+            for protocol, klen in (("secure-km", m), ("plain-km", 0)):
+                _assert_batch_matches_scalar_runs(
+                    protocol, code, n, klen, list(product(range(1 << n), range(1 << n), range(1 << klen))))
+        _assert_batch_matches_scalar_runs("zero-error-otp", None, n, n,
+                                          list(product(range(1 << n), repeat=3)))
+
+
+def test_batched_run_matches_scalar_runs_at_the_word_edges():
+    # n = 63 is the widest int64 word; the uncoded pad at n = 70 runs on Python ints.
+    rng = Random(63)
+    code = build_code(63, 24, seed=1)
+    for protocol, klen in (("secure-km", 24), ("plain-km", 0)):
+        atoms = [(rng.getrandbits(63), rng.getrandbits(63), rng.getrandbits(klen)) for _ in range(64)]
+        batch = _assert_batch_matches_scalar_runs(protocol, code, 63, klen, atoms)
+        assert batch.z_hat.bits.dtype == np.int64
+    atoms = [(rng.getrandbits(70), rng.getrandbits(70), rng.getrandbits(70)) for _ in range(64)]
+    batch = _assert_batch_matches_scalar_runs("zero-error-otp", None, 70, 70, atoms)
+    assert batch.z_hat.bits.dtype == object and batch.correct.all()
 
 
 def test_run_dimension_validation():
