@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,9 +80,10 @@ class AffineJoint:
     `rows[name]` holds one packed row per bit of the variable over the word
     z | zhat << n | x << 2n | k << 3n, so the (x, k) part sits in the high bits
     and elimination by leading bit clears it first. zhat is the coset leader
-    of the syndrome s = H·z: `parity` holds the m rows of H and `leaders[s]` the
-    leader of each syndrome. An uncoded protocol sends z itself, so its H is
-    the identity and `leaders` is None, the identity map.
+    of the syndrome s = H·z: `parity` holds the m rows of H and `leader` is the
+    code's leader map, from arrays of syndromes to their leaders. An uncoded
+    protocol sends z itself, so its H is the identity and `leader` is None,
+    the identity map.
     """
 
     protocol: str
@@ -92,7 +93,7 @@ class AffineJoint:
     widths: dict[str, int]
     rows: dict[str, tuple[int, ...]]
     parity: tuple[int, ...]
-    leaders: np.ndarray | None
+    leader: Callable[[np.ndarray], np.ndarray] | None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def entropy(self, variables) -> float:
@@ -134,7 +135,7 @@ class AffineJoint:
     @cached_property
     def syndrome_entropy(self) -> float:
         """H(s) of the syndrome s = H·z; an uncoded protocol's syndrome is z."""
-        if self.leaders is None:
+        if self.leader is None:
             return self.n * binary_entropy(self.p)
         return _plogp(_syndrome_law(self.parity, self.n, self.p))
 
@@ -142,7 +143,7 @@ class AffineJoint:
 def _syndrome_law(parity: tuple[int, ...], n: int, p: float) -> np.ndarray:
     """P(s) of s = H·z for z with independent Bernoulli(p) bits, H given by its rows.
 
-    The law starts where the leader table does, from `pivot_start`: if z is
+    The law starts where the leader keys do, from `pivot_start`: if z is
     zero off the pivots, z is the pivot word of s, so P(s) = p^w (1 - p)^(m - w)
     with w the weight of that word. Each free column h of H then takes one flip
     pass: P <- (1 - p)·P + p·P[s xor h]. Each cell is a sum of non-negative
@@ -234,8 +235,8 @@ def _check_replays(spec: ProtocolSpec, code: LinearCode | None, n: int, klen: in
 def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) -> AffineJoint:
     """Exact joint law of one instance from its affine description.
 
-    Words are packed in int64, so n <= 63. A code needs the leader of every
-    syndrome, so m <= 24 as for its leader table; an uncoded protocol's
+    Words are packed in int64, so n <= 63. A code groups all 2^m syndromes,
+    so m <= 24 as for its leader keys; an uncoded protocol's
     syndrome is z, whose entropy has a closed form. Every call evaluates the
     description at a spread sample of 64 distinct (x, y, k) atoms and compares
     it with one batched replay of them through the message-passing engine, so
@@ -251,7 +252,7 @@ def affine_joint(protocol_id: str, code: LinearCode | None, params: DsbsParams) 
     joint = AffineJoint(
         protocol=protocol_id, n=n, m=mlen, p=params.p,
         widths={name: len(r) for name, r in rows.items()}, rows=rows,
-        parity=_parity(spec, code, n), leaders=code.leaders if spec.coded else None,
+        parity=_parity(spec, code, n), leader=code.leader_map() if spec.coded else None,
     )
     # Atom indices have 2n + klen bits, up to 150, so they are split as Python ints.
     atoms = [(i, _split(i, n, klen)) for i in _spread(1 << (2 * n + klen))]
@@ -307,7 +308,7 @@ def _evaluate(joint: AffineJoint, x: np.ndarray, y: np.ndarray,
     """
     n = joint.n
     z = x ^ y
-    zhat = _batch_decoder(joint.parity, joint.leaders, n)(z.astype("<i8")[:, None])[:, 0]
+    zhat = _batch_decoder(joint.parity, joint.leader, n)(z.astype("<i8")[:, None])[:, 0]
     rows = [row for rows in joint.rows.values() for row in rows]
     size = -(-4 * n // 8)
     packed = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
@@ -419,7 +420,7 @@ def monte_carlo_error(
         raise ContractViolation("an explicit rng is required")
     width = 4 * -(-n // 32) + 8 * n + 4 * -(-klen // 32)
     batch = max(1, _MC_BATCH_BYTES // width)
-    decode = _batch_decoder(_parity(spec, code, n), code.leaders if spec.coded else None, n)
+    decode = _batch_decoder(_parity(spec, code, n), code.leader_map() if spec.coded else None, n)
     limit = math.ceil(params.p * 2.0**64)
     replayed = _spread(trials)
 
@@ -463,15 +464,15 @@ def _trial_inputs(row: bytes, n: int, klen: int, limit: int) -> tuple[int, int, 
     return x, x ^ z, int.from_bytes(row[xbytes + 8 * n :], "little") & ((1 << klen) - 1)
 
 
-def _batch_decoder(parity: tuple[int, ...], leaders: np.ndarray | None, n: int):
+def _batch_decoder(parity: tuple[int, ...], leader: Callable[[np.ndarray], np.ndarray] | None, n: int):
     """The map from noise words z, little-endian 64-bit word rows, to their
-    decoded sums in the same layout: the leader of the syndrome H·z, where
-    `parity` holds the rows of H, or z itself when uncoded (`leaders` None).
-    A coded z is one word, since the leader table needs n <= 63."""
-    if leaders is None:
+    decoded sums in the same layout: `leader` of the syndrome H·z, where
+    `parity` holds the rows of H, or z itself when uncoded (`leader` None).
+    A coded z is one word, since the leader keys need n <= 63."""
+    if leader is None:
         return _identity
     syndrome = linear_map([column(parity, j) for j in range(n)])
-    return lambda z: leaders[syndrome(z[:, 0])].astype(z.dtype)[:, None]
+    return lambda z: leader(syndrome(z[:, 0])).astype(z.dtype)[:, None]
 
 
 def _word(words: np.ndarray, j: int) -> int:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from random import Random
 from typing import Callable
 
@@ -23,19 +22,19 @@ __all__ = [
     "WORD_GUARD_BITS",
 ]
 
-# Leader tables hold 2**m entries; refuse anything beyond this.
+# The leader keys hold 2**m entries; refuse anything beyond this.
 TABLE_GUARD_BITS = 24
 
 # Leader words are packed in int64, so codes stop at this length.
 WORD_GUARD_BITS = 63
 
 
-# The weight count and the leader recovery each read the key table in blocks
-# of this many syndromes, so their temporaries stay small beside the table.
-_RECOVERY_BLOCK = 1 << 16
+# The weight count reads the key table in blocks of this many syndromes, so
+# its temporaries stay small beside the table.
+_COUNT_BLOCK = 1 << 16
 
 
-def _leader_keys(matrix: Gf2Matrix) -> tuple[tuple[int, ...], Callable[[], np.ndarray]]:
+def _leader_keys(matrix: Gf2Matrix) -> tuple[tuple[int, ...], np.ndarray, list[int]]:
     """Coset leaders by min-plus column passes on the `(2,)*m` cube of syndromes.
 
     `pivot_start` splits the columns into pivots and f free columns; the coset
@@ -50,10 +49,10 @@ def _leader_keys(matrix: Gf2Matrix) -> tuple[tuple[int, ...], Callable[[], np.nd
     view of the cube. A weight is at most m + 1, so a key takes
     bitlen(m + 1) + f <= 64 bits at any n <= 63.
 
-    Returns the leaders' weight counts, read from the keys' weight fields, and
-    a function that rewrites the keys in place into the leader table: the least
-    key of s holds the leader's u, and the leader is the pivot word of s xor
-    the codeword of u. Exact error needs only the counts.
+    Returns the leaders' weight counts, read from the keys' weight fields; the
+    keys, read-only; and the n images that send s | (reversed u) << m to the
+    leader: the pivot words of the m unit syndromes, then the codewords of the
+    free columns in reversed order. Exact error needs only the counts.
     """
     n, m = matrix.cols, matrix.m
     if n > WORD_GUARD_BITS:
@@ -70,20 +69,11 @@ def _leader_keys(matrix: Gf2Matrix) -> tuple[tuple[int, ...], Callable[[], np.nd
         np.minimum(cube, moved, out=cube)
     del moved
     counts = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, len(keys), _RECOVERY_BLOCK):
-        block_weights = (keys[lo:lo + _RECOVERY_BLOCK] >> np.uint64(f)).astype(np.intp)
+    for lo in range(0, len(keys), _COUNT_BLOCK):
+        block_weights = (keys[lo:lo + _COUNT_BLOCK] >> np.uint64(f)).astype(np.intp)
         counts += np.bincount(block_weights, minlength=n + 1)
-
-    def recover() -> np.ndarray:
-        pivot_word = linear_map(units)
-        codeword = linear_map([word for _, word in reversed(free)])
-        leaders = keys.view(np.int64)
-        for lo in range(0, len(leaders), _RECOVERY_BLOCK):
-            block = leaders[lo:lo + _RECOVERY_BLOCK]
-            block[:] = pivot_word(np.arange(lo, lo + len(block))) ^ codeword(block & ((1 << f) - 1))
-        return leaders
-
-    return tuple(counts.tolist()), recover
+    keys.flags.writeable = False
+    return tuple(counts.tolist()), keys, [*units, *(word for _, word in reversed(free))]
 
 
 @dataclass(eq=False)
@@ -91,11 +81,12 @@ class LinearCode:
     """A full-rank m-by-n parity matrix with its coset leaders' weight counts.
 
     `leaders_by_weight[w]` counts the coset leaders of weight w, w = 0..n.
-    `leaders[s]` is the minimum-weight word whose syndrome is the packed
-    value s; ties go to the smallest pattern with symbol 0 read as the most
-    significant bit. Decoding via this table is exact maximum-likelihood for
-    any memoryless flip rate below 1/2. `leaders` calls `recover_leaders` once,
-    on first use, so a code that only gives its exact error never builds it.
+    The leader of the packed syndrome s is the minimum-weight word whose
+    syndrome is s; ties go to the smallest pattern with symbol 0 read as the
+    most significant bit. Decoding to it is exact maximum-likelihood for any
+    memoryless flip rate below 1/2. The read-only min-plus `keys` are the only
+    leader state: `leader_map` reads a leader off them, and a code that only
+    gives its exact error never builds that map.
     """
 
     n: int
@@ -103,11 +94,16 @@ class LinearCode:
     matrix: Gf2Matrix
     seed: int | None
     leaders_by_weight: tuple[int, ...]
-    recover_leaders: Callable[[], np.ndarray]
+    keys: np.ndarray
+    images: list[int]
 
-    @cached_property
-    def leaders(self) -> np.ndarray:
-        return self.recover_leaders()
+    def leader_map(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The map from an int64 array of packed syndromes s to their leaders,
+        L(s | (keys[s] & (2^f - 1)) << m) for the linear map L over `images`."""
+        lift, shift = linear_map(self.images), np.uint64(self.m)
+        free = np.uint64((1 << (self.n - self.m)) - 1)
+        # The word s | u << m has n <= 63 bits, so its uint64 form views as int64.
+        return lambda synd: lift(((self.keys[synd] & free) << shift).view(np.int64) | synd)
 
     def syndrome(self, word: Gf2Vector | Gf2Batch) -> Gf2Vector | Gf2Batch:
         return self.matrix.matvec(word)
@@ -116,8 +112,8 @@ class LinearCode:
         if synd.n != self.m:
             raise ContractViolation(f"syndrome must have length {self.m}, got {synd.n}")
         if isinstance(synd, Gf2Batch):
-            return Gf2Batch(self.leaders[synd.bits], self.n)
-        return Gf2Vector(self.leaders.item(synd.bits), self.n)
+            return Gf2Batch(self.leader_map()(synd.bits), self.n)
+        return Gf2Vector(self.leader_map()(np.array([synd.bits])).item(), self.n)
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, m={self.m}, seed={self.seed})"

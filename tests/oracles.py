@@ -5,7 +5,8 @@
 the protocol algebra on all of them at once through its own syndrome and
 leader lookups, and returns the exact joint pmf of inputs, messages and output.
 `check_lemma1` states the zero-error structure conditions on either engine,
-`span_table` evaluates a packed-row map at every word,
+`span_table` evaluates a packed-row map at every word, `leader_table` reads
+a code's leader of every syndrome through its leader map,
 `pair_probability` is the source law one pair at a time, `sampled_run`
 drives a protocol on inputs drawn from a `random.Random`, `random_pmf`
 draws a small pmf to test the information identities on, and `rref_rows`
@@ -116,6 +117,11 @@ def span_table(rows, cols: int) -> np.ndarray:
     return xor_span([column(rows, j) for j in range(cols)])
 
 
+def leader_table(code: LinearCode) -> np.ndarray:
+    """Entry s is the code's leader of the packed syndrome s, for all 2^m syndromes."""
+    return code.leader_map()(np.arange(1 << code.m, dtype=np.int64))
+
+
 def random_pmf(rng: Random, max_size: int) -> JointPmf:
     """A pmf of random masses on 4 to `max_size` atoms over three variables a, b
     and c of random widths; p is a placeholder, since no entropy reads it."""
@@ -149,7 +155,7 @@ def enumerate_joint(protocol_id: str, code: LinearCode | None, params: DsbsParam
     # The syndrome of every word, then the leader of every syndrome; both the
     # identity for an uncoded protocol.
     if spec.coded:
-        syndrome, decode = span_table(code.matrix.rows, n).take, code.leaders.take
+        syndrome, decode = span_table(code.matrix.rows, n).take, leader_table(code).take
     else:
         syndrome = decode = _identity
     size = 1 << total_bits

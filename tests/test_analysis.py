@@ -24,7 +24,7 @@ from securesum.analysis import (
 from securesum.cli import ReportRow
 from securesum.codes import LinearCode, build_code, code_from_matrix, exact_error_probability
 from securesum.errors import CapacityError, ConfigurationError, ContractViolation
-from securesum.gf2 import Gf2Matrix, Gf2Vector, echelon
+from securesum.gf2 import Gf2Batch, Gf2Matrix, Gf2Vector, echelon
 from securesum.protocol import check_instance, run
 from securesum.source import DsbsParams, binary_entropy
 
@@ -369,13 +369,38 @@ def test_oracle_kernel_is_checked_by_replay(monkeypatch):
             enumerate_joint(protocol, arg, DsbsParams(p=0.2, n=6))
 
 
+def test_the_three_decoders_agree():
+    # `LinearCode.decode` on one syndrome, `decode` on a batch of them, and the
+    # batch decoder the engines share all read the leader map. Every word of
+    # (12, 8) and (18, 17) covers every syndrome; the wide codes take random
+    # words, and at (63, 1) a key fills all 64 bits. One syndrome at a time
+    # builds a map per call, so the scalar decode takes at most 4096 words:
+    # every word of (12, 8), so every syndrome, and every 64th of (18, 17).
+    rng = np.random.default_rng(11)
+    for n, m in ((12, 8), (18, 17), (40, 20), (63, 16), (63, 1)):
+        code = build_code(n, m, seed=n * m)
+        if n <= 18:
+            z = np.arange(1 << n, dtype=np.int64)
+        else:
+            z = (np.frombuffer(rng.bytes(8 * 2048), dtype="<u8") >> np.uint64(64 - n)).astype(np.int64)
+        synd = code.syndrome(Gf2Batch(z, n))
+        batch = code.decode(synd)
+        assert batch.n == n and (code.syndrome(batch) == synd).all(), (n, m)
+        assert (np.bitwise_count(batch.bits) <= np.bitwise_count(z)).all(), (n, m)
+        shared = analysis._batch_decoder(code.matrix.rows, code.leader_map(), n)(z.astype("<i8")[:, None])
+        assert np.array_equal(shared[:, 0], batch.bits), (n, m)
+        step = max(1, len(z) // 4096)
+        for s, leader in zip(synd.bits[::step].tolist(), batch.bits[::step].tolist()):
+            assert code.decode(Gf2Vector(s, m)) == Gf2Vector(leader, n), (n, m, s)
+
+
 def test_both_engines_catch_a_fault_in_the_shared_decoder(monkeypatch):
     # The affine engine and Monte Carlo decode through one batch decoder; a
     # decoder that flips bit 0 of every leader it returns is caught by both.
     honest = analysis._batch_decoder
 
-    def flipped(parity, leaders, n):
-        decode = honest(parity, leaders, n)
+    def flipped(parity, leader, n):
+        decode = honest(parity, leader, n)
         return lambda z: decode(z) ^ 1
 
     monkeypatch.setattr(analysis, "_batch_decoder", flipped)
@@ -594,10 +619,10 @@ def _scalar_evaluate(joint, x, y, k):
     """Every variable of one (x, y, k) atom, one packed row at a time: the
     reference for the batched `analysis._evaluate` past the oracle's guard.
     zhat is the leader of the syndrome of z, which is z itself when there is
-    no leader table."""
+    no leader map."""
     n = joint.n
     synd = sum(((row & (x ^ y)).bit_count() & 1) << i for i, row in enumerate(joint.parity))
-    zhat = synd if joint.leaders is None else int(joint.leaders[synd])
+    zhat = synd if joint.leader is None else joint.leader(np.array([synd])).item()
     word = (x ^ y) | zhat << n | x << 2 * n | k << 3 * n
     return {
         name: sum(((row & word).bit_count() & 1) << j for j, row in enumerate(rows))
@@ -644,22 +669,24 @@ def test_batched_evaluation_splits_rows_wider_than_64_bits():
             joint, *(np.array(column, dtype=np.int64) for column in zip(*atoms)))
 
 
-def test_affine_engine_guard_and_validation():
+def test_affine_engine_guard_and_validation(monkeypatch):
     with pytest.raises(CapacityError, match="n <= 63"):
         affine_joint("zero-error-otp", None, DsbsParams(p=0.1, n=64))
-    # The engine needs no 2^n words, only the leader table's limits: m <= 24 and n <= 63.
-    # These codes are built by hand, past the checks of build_code; both are
-    # refused before their leaders are asked for.
-    def unread():
-        raise AssertionError("the leader table was read")
-    wide = LinearCode(n=64, m=1, matrix=Gf2Matrix((1,), 64), seed=None,
-                      leaders_by_weight=(1, 1) + (0,) * 63, recover_leaders=unread)
-    with pytest.raises(CapacityError, match="n <= 63"):
-        affine_joint("plain-km", wide, DsbsParams(p=0.1, n=64))
-    tall = LinearCode(n=30, m=25, matrix=Gf2Matrix(tuple(1 << i for i in range(25)), 30), seed=None,
-                      leaders_by_weight=(0,) * 31, recover_leaders=unread)
-    with pytest.raises(CapacityError, match="2\\^25"):
-        affine_joint("secure-km", tall, DsbsParams(p=0.1, n=30))
+    # The engine needs no 2^n words, only the leader keys' limits: m <= 24 and n <= 63.
+    # These codes are built by hand, past the checks of build_code, with no
+    # keys; both are refused before their leader map is asked for.
+    def unread(code):
+        raise AssertionError("the leader map was built")
+    with monkeypatch.context() as patch:
+        patch.setattr(LinearCode, "leader_map", unread)
+        wide = LinearCode(n=64, m=1, matrix=Gf2Matrix((1,), 64), seed=None,
+                          leaders_by_weight=(1, 1) + (0,) * 63, keys=None, images=None)
+        with pytest.raises(CapacityError, match="n <= 63"):
+            affine_joint("plain-km", wide, DsbsParams(p=0.1, n=64))
+        tall = LinearCode(n=30, m=25, matrix=Gf2Matrix(tuple(1 << i for i in range(25)), 30), seed=None,
+                          leaders_by_weight=(0,) * 31, keys=None, images=None)
+        with pytest.raises(CapacityError, match="2\\^25"):
+            affine_joint("secure-km", tall, DsbsParams(p=0.1, n=30))
     with pytest.raises(ConfigurationError):
         affine_joint("bogus", FIXTURE, DsbsParams(p=0.1, n=3))
     with pytest.raises(ConfigurationError):
@@ -679,7 +706,7 @@ def _noise_word_sum(joint):
     kept as its reference."""
     n = joint.n
     words = np.arange(1 << n, dtype=np.int64)
-    zhat = words if joint.leaders is None else joint.leaders[span_table(joint.parity, n)]
+    zhat = words if joint.leader is None else joint.leader(span_table(joint.parity, n))
     ptable = np.array([joint.p**d * (1.0 - joint.p) ** (n - d) for d in range(n + 1)])
     probs = ptable[np.bitwise_count(words)]
     zmask = (1 << n) - 1
@@ -785,7 +812,7 @@ def test_syndrome_law_matches_the_syndrome_table():
             np.testing.assert_allclose(law, expect, rtol=1e-10, atol=0.0)
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
             joint = analysis.AffineJoint(protocol="plain-km", n=n, m=m, p=p, widths={}, rows={},
-                                         parity=rows, leaders=code.leaders)
+                                         parity=rows, leader=code.leader_map())
             assert joint.syndrome_entropy == pytest.approx(
                 oracles._grouped_entropy(syndromes, m, probs), abs=1e-12), (n, rows, p)
 

@@ -292,7 +292,7 @@ def test_single_instance_commands_are_one_point_sweeps(protocol):
 
 def test_capacity_guard_exits_3(capsys):
     # Exact leakage packs words in int64, so n <= 63 for every protocol; a code
-    # also stops where leader tables do, at m <= 24.
+    # also stops where its leader keys do, at m <= 24.
     for argv in (["--protocol", "zero-error-otp", "--n", "64"],
                  ["--protocol", "secure-km", "--n", "64", "--m", "3"]):
         assert main(["leakage", *argv, "--p", "0.1"]) == 3
@@ -580,6 +580,10 @@ STDOUT_SHA256 = {
     # A 2^22-cell syndrome law, recorded when its passes ran in blocks of 2^20 cells.
     "leakage --protocol plain-km --n 26 --m 22 --p 0.1 --seed 4":
         "675535c7aaeea8a53dcac6ea8f477f7dcd2b29dc665b7dff642c9ea62d0ea17f",
+    # At (63, 1) a min-plus key fills all 64 bits; recorded when the leaders
+    # were a table rewritten over the keys.
+    "simulate --protocol secure-km --n 63 --m 1 --p 0.1 --trials 2000 --mode both":
+        "0ef7a4e0b527afd47b28caa5df9cb32ada0f2538d1b62a0d2ad4329ab4bff308",
 }
 
 

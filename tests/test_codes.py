@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import securesum.codes as codes_module
-from oracles import rref_rows, span_table
+from oracles import leader_table, rref_rows, span_table
 from securesum.cli import main as cli_main
 from securesum.codes import (
     build_code,
@@ -88,7 +88,7 @@ def _weight_limited_leader_reference(matrix: Gf2Matrix, weight: int) -> np.ndarr
 
 def test_fixture_leader_table_matches_worked_example():
     code = code_from_matrix(FIXTURE)
-    table = {s: Gf2Vector(int(code.leaders[s]), 3).to_string() for s in range(4)}
+    table = {s: Gf2Vector(int(leader), 3).to_string() for s, leader in enumerate(leader_table(code))}
     # syndrome packed with component 0 in bit 0
     assert table == {0b00: "000", 0b01: "100", 0b10: "001", 0b11: "010"}
 
@@ -120,8 +120,9 @@ def test_exact_error_probability_matches_enumeration_oracle():
     rng = Random(9)
     for n, m in ((4, 2), (6, 3), (7, 5), (10, 4), (12, 7)):
         code = build_code(n, m, seed=rng.randrange(10**6))
+        leaders = leader_table(code)
         wrong = [bin(z).count("1") for z in range(1 << n)
-                 if int(code.leaders[_syndrome_oracle(code.matrix, z)]) != z]
+                 if int(leaders[_syndrome_oracle(code.matrix, z)]) != z]
         for p in (0.0, 0.1, 0.25, 0.5):
             expect = 0.0
             for w in wrong:
@@ -177,7 +178,7 @@ def test_perfect_codes_decode_exactly_the_patterns_within_their_radius(matrix, t
     # every word of weight <= t and its error is the tail of the binomial.
     code = code_from_matrix(matrix)
     n = code.n
-    counts = np.bincount(np.bitwise_count(code.leaders), minlength=n + 1)
+    counts = np.bincount(np.bitwise_count(leader_table(code)), minlength=n + 1)
     assert counts.tolist() == [math.comb(n, w) if w <= t else 0 for w in range(n + 1)]
     for p in (0.01, 0.05, 0.2):
         closed = 1.0 - sum(math.comb(n, w) * p**w * (1 - p) ** (n - w) for w in range(t + 1))
@@ -202,11 +203,11 @@ def test_leaders_match_brute_force_oracle():
         Gf2Matrix.from_rows([[1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1]]),
     ]
     for matrix in cases:
-        code = code_from_matrix(matrix)
+        leaders = leader_table(code_from_matrix(matrix))
         oracle = _leader_oracle(matrix)
-        assert len(code.leaders) == len(oracle) == 1 << matrix.m
+        assert len(leaders) == len(oracle) == 1 << matrix.m
         for s, leader in oracle.items():
-            assert int(code.leaders[s]) == leader, (matrix.to_string(), s)
+            assert int(leaders[s]) == leader, (matrix.to_string(), s)
 
 
 def test_tie_break_prefers_late_support():
@@ -220,21 +221,22 @@ def test_leaders_are_minimum_weight_exhaustively():
     rng = Random(1234)
     for n, m in ((5, 2), (9, 4), (12, 6), (12, 3)):
         code = build_code(n, m, seed=rng.randrange(10**6))
+        leaders = leader_table(code)
         for word in range(1 << n):
             s = _syndrome_oracle(code.matrix, word)
-            leader = int(code.leaders[s])
+            leader = int(leaders[s])
             assert bin(leader).count("1") <= bin(word).count("1")
         # and every leader lies in the coset it labels
         for s in range(1 << m):
-            assert _syndrome_oracle(code.matrix, int(code.leaders[s])) == s
+            assert _syndrome_oracle(code.matrix, int(leaders[s])) == s
 
 
 def test_leaders_match_sorted_full_table_reference():
     rng = Random(77)
-    # (18, 17) has 2^17 syndromes, so its leaders are read back in two blocks.
+    # (18, 17) has 2^17 syndromes, so its weights are counted in two blocks.
     for n, m in ((6, 3), (8, 4), (10, 6), (11, 2), (21, 6), (22, 8), (18, 17)):
         code = build_code(n, m, seed=rng.randrange(10**6))
-        assert np.array_equal(code.leaders, _sorted_leader_reference(code.matrix)), (n, m)
+        assert np.array_equal(leader_table(code), _sorted_leader_reference(code.matrix)), (n, m)
 
 
 def test_leaders_match_weight_limited_reference_beyond_full_table():
@@ -244,9 +246,10 @@ def test_leaders_match_weight_limited_reference_beyond_full_table():
     shapes += [(n, m) for n in range(59, 64) for m in (1, 5, 8, 12)]
     for n, m in shapes:
         code = build_code(n, m, seed=rng.randrange(10**6))
-        weight = int(np.bitwise_count(code.leaders).max())
+        leaders = leader_table(code)
+        weight = int(np.bitwise_count(leaders).max())
         reference = _weight_limited_leader_reference(code.matrix, weight)
-        assert np.array_equal(code.leaders, reference), (n, m)
+        assert np.array_equal(leaders, reference), (n, m)
 
 
 def test_weight_counts_are_the_recovered_leaders_weights():
@@ -257,35 +260,38 @@ def test_weight_counts_are_the_recovered_leaders_weights():
     codes.append(build_code(26, 2, seed=0))
     ps = (0.01, 0.1, 0.3, 0.5)
     for code in codes:
-        # The counts come from the min-plus keys, before any leader exists.
+        # The counts come from the min-plus keys' weight fields, with no leader read.
         errors = [exact_error_probability(code, p) for p in ps]
-        assert "leaders" not in vars(code)
         n = code.n
-        counts = np.bincount(np.bitwise_count(code.leaders), minlength=n + 1)
+        counts = np.bincount(np.bitwise_count(leader_table(code)), minlength=n + 1)
         assert code.leaders_by_weight == tuple(counts.tolist()), code.matrix
-        # Bit for bit the error summed from the weights of the recovered table.
+        # Bit for bit the error summed from the weights of the leaders the map reads off.
         assert errors == [float(sum((math.comb(n, w) - int(count)) * (p**w * (1.0 - p) ** (n - w))
                                     for w, count in enumerate(counts))) for p in ps], code.matrix
 
 
-def test_exact_error_leaves_the_leader_table_unbuilt(monkeypatch):
+def test_a_code_holds_its_leaders_as_read_only_keys_alone(monkeypatch):
     rng = Random(89)
     for n, m in ((12, 8), (20, 12), (22, 14), (18, 17)):
         code = build_code(n, m, seed=rng.randrange(10**6))
-        assert 0.0 < exact_error_probability(code, 0.05) < 1.0
-        assert "leaders" not in vars(code)
-        # Recovered on first use, once, into the table the reference sorts out.
-        table = code.leaders
-        assert code.leaders is table
-        assert np.array_equal(table, _sorted_leader_reference(code.matrix)), (n, m)
-    # An exact-only sweep never recovers a table: recovery's byte maps are never built.
+        # The keys are the one 2^m array a code holds, and nothing writes into them.
+        assert [name for name, value in vars(code).items()
+                if hasattr(value, "__len__") and len(value) == 1 << m] == ["keys"], (n, m)
+        with pytest.raises(ValueError, match="read-only"):
+            code.keys[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            code.keys >>= np.uint64(1)
+        assert np.array_equal(leader_table(code), _sorted_leader_reference(code.matrix)), (n, m)
+    # Building a code and its exact error build no byte table: only a decode builds the leader map.
     def unbuilt(images):
-        raise AssertionError("a leader table was recovered")
+        raise AssertionError("a leader map was built")
     monkeypatch.setattr(codes_module, "linear_map", unbuilt)
+    code = build_code(20, 12, seed=5)
+    assert 0.0 < exact_error_probability(code, 0.05) < 1.0
     argv = "sweep --protocol secure-km,plain-km --n 12,20 --rate 0.6 --p 0.05 --mode exact --seeds 2"
     assert cli_main(argv.split()) == 0
-    with pytest.raises(AssertionError, match="recovered"):  # the patch does reach recovery
-        build_code(8, 4, seed=1).leaders
+    with pytest.raises(AssertionError, match="leader map was built"):  # the patch does reach decoding
+        code.decode(Gf2Vector.zeros(12))
 
 
 def test_build_code_deterministic_and_full_rank():
@@ -321,7 +327,7 @@ def test_rank_deficient_matrix_rejected():
 def test_code_from_matrix_checks_shape_before_rank():
     with pytest.raises(ContractViolation, match="m <= n"):
         code_from_matrix(Gf2Matrix.from_rows([[1, 0], [0, 1], [1, 1]]))
-    # Full rank, but its leader table would exceed the 2^24 guard: refused before it is built.
+    # Full rank, but its leader keys would exceed the 2^24 guard: refused before they are built.
     identity = Gf2Matrix.from_rows([[int(i == j) for j in range(25)] for i in range(25)])
     with pytest.raises(CapacityError, match="2\\^25"):
         code_from_matrix(identity)
@@ -334,7 +340,7 @@ def test_capacity_guards():
     assert wide.matrix.rank() == 2
     # Exact error has no guard on n: one minus the mass of the four leaders.
     p = 0.1
-    weights = [bin(int(leader)).count("1") for leader in wide.leaders]
+    weights = [bin(int(leader)).count("1") for leader in leader_table(wide)]
     correct = sum(p**w * (1 - p) ** (26 - w) for w in weights)
     assert exact_error_probability(wide, p) == pytest.approx(1 - correct, abs=1e-15)
     # Leader words are packed in int64: n = 63 is the widest code.
