@@ -400,17 +400,19 @@ def monte_carlo_error(
     """Fraction of incorrect runs over fresh samples, with a 3-sigma Wilson half-width.
 
     Trial t reads row t of the bytes drawn by `rng.randbytes`: x in 4·ceil(n/32)
-    bytes, one little-endian 64-bit word per noise bit, set when the word is
-    below ceil(p·2^64), then the key in 4·ceil(klen/32) bytes; x and the key
-    keep their low n and klen bits. A row is whole 32-bit words, so the batch
-    size never changes what a trial reads. Charlie decodes m13 xor m23 = H·z,
-    so a run is wrong exactly when the batch decoder maps the noise word z to
-    another word, and a batch computes nothing but z, its decoded sum and that
-    verdict. A batch holds at most 64 KiB of row bytes, or one wider row.
-    Every call replays a spread sample of 64 distinct trials in one batched run
-    of the message-passing code on the (x, y, k) read from their row bytes
-    alone, and compares those three by name, so the batch can drift neither
-    from the protocols nor from the trial bytes.
+    bytes, one little-endian 32-bit word per noise bit, set when the word is
+    below limit = ceil(p·2^32), then the key in 4·ceil(klen/32) bytes; x and
+    the key keep their low n and klen bits. So P(flip) = ceil(p·2^32)/2^32
+    exactly, within 2^-32 of p, and a p below 2^-32 flips at rate 2^-32. A
+    row is whole 32-bit words, so the batch size never changes what a trial
+    reads. Charlie decodes m13 xor m23 = H·z, so a run is wrong exactly when
+    the batch decoder maps the noise word z to another word, and a batch
+    computes nothing but z, its decoded sum and that verdict. A batch holds at
+    most 64 KiB of row bytes, or one wider row. Every call replays a spread
+    sample of 64 distinct trials in one batched run of the message-passing
+    code on the (x, y, k) read from their row bytes alone, and compares those
+    three by name, so the batch can drift neither from the protocols nor from
+    the trial bytes.
     """
     if trials < 1:
         raise ContractViolation(f"need at least one trial, got {trials}")
@@ -418,10 +420,10 @@ def monte_carlo_error(
     spec, _, klen = check_instance(protocol_id, code, n)
     if rng is None:
         raise ContractViolation("an explicit rng is required")
-    width = 4 * -(-n // 32) + 8 * n + 4 * -(-klen // 32)
+    width = 4 * -(-n // 32) + 4 * n + 4 * -(-klen // 32)
     batch = max(1, _MC_BATCH_BYTES // width)
     decode = _batch_decoder(_parity(spec, code, n), code.leader_map() if spec.coded else None, n)
-    limit = math.ceil(params.p * 2.0**64)
+    limit = math.ceil(params.p * 2.0**32)
     replayed = _spread(trials)
 
     errors = 0
@@ -448,20 +450,21 @@ def monte_carlo_error(
 
 def _batch_noise(rows: np.ndarray, n: int, limit: int) -> np.ndarray:
     """Noise words of the trials whose bytes are the rows of `rows`, as
-    little-endian 64-bit word rows."""
+    little-endian 64-bit word rows: bit i is set when 32-bit noise word i is
+    below `limit`, at most 2^31 as p <= 1/2, so the words compare as uint32.
+    Flip rows are padded to whole 64-bit words, so one `packbits` packs all."""
     xbytes = 4 * -(-n // 32)
-    flips = rows[:, xbytes : xbytes + 8 * n].view("<u8") < np.uint64(limit)
-    noise = np.zeros((len(rows), 8 * -(-n // 64)), dtype=np.uint8)
-    noise[:, : -(-n // 8)] = np.packbits(flips, axis=1, bitorder="little")
-    return noise.view("<u8")
+    flips = np.zeros((len(rows), 64 * -(-n // 64)), dtype=bool)
+    np.less(rows[:, xbytes : xbytes + 4 * n].view("<u4"), np.uint32(limit), out=flips[:, :n])
+    return np.packbits(flips, bitorder="little").view("<u8").reshape(len(rows), -1)
 
 
 def _trial_inputs(row: bytes, n: int, klen: int, limit: int) -> tuple[int, int, int]:
     """(x, y, k) of one trial from its row of generator bytes, apart from the batch decode."""
     xbytes = 4 * -(-n // 32)
     x = int.from_bytes(row[:xbytes], "little") & ((1 << n) - 1)
-    z = sum(1 << i for i, word in enumerate(struct.unpack_from(f"<{n}Q", row, xbytes)) if word < limit)
-    return x, x ^ z, int.from_bytes(row[xbytes + 8 * n :], "little") & ((1 << klen) - 1)
+    z = sum(1 << i for i, word in enumerate(struct.unpack_from(f"<{n}I", row, xbytes)) if word < limit)
+    return x, x ^ z, int.from_bytes(row[xbytes + 4 * n :], "little") & ((1 << klen) - 1)
 
 
 def _batch_decoder(parity: tuple[int, ...], leader: Callable[[np.ndarray], np.ndarray] | None, n: int):

@@ -25,7 +25,7 @@ from .errors import CapacityError, ConfigurationError, ContractViolation
 from .protocol import PROTOCOL_IDS, PROTOCOLS, nominal_rates
 from .source import DsbsParams, binary_entropy
 
-CSV_VERSION_COMMENT = "# securesum-csv v2"
+CSV_VERSION_COMMENT = "# securesum-csv v3"
 
 
 @dataclass

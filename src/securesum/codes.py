@@ -113,7 +113,14 @@ class LinearCode:
             raise ContractViolation(f"syndrome must have length {self.m}, got {synd.n}")
         if isinstance(synd, Gf2Batch):
             return Gf2Batch(self.leader_map()(synd.bits), self.n)
-        return Gf2Vector(self.leader_map()(np.array([synd.bits])).item(), self.n)
+        # The same L on one word: the xor of the images of its set bits, no byte tables.
+        word = synd.bits | (int(self.keys[synd.bits]) & ((1 << (self.n - self.m)) - 1)) << self.m
+        leader = 0
+        while word:
+            low = word & -word
+            leader ^= self.images[low.bit_length() - 1]
+            word ^= low
+        return Gf2Vector(leader, self.n)
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, m={self.m}, seed={self.seed})"

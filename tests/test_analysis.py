@@ -274,8 +274,8 @@ def test_monte_carlo_against_exact():
 
 
 def _row_bytes(n, klen):
-    """Bytes of one trial: x in whole 32-bit words, a 64-bit word per noise bit, the key."""
-    return 4 * -(-n // 32) + 8 * n + 4 * -(-klen // 32)
+    """Bytes of one trial: x in whole 32-bit words, a 32-bit word per noise bit, the key."""
+    return 4 * -(-n // 32) + 4 * n + 4 * -(-klen // 32)
 
 
 def _reference_monte_carlo(protocol_id, code, params, trials, rng):
@@ -284,14 +284,14 @@ def _reference_monte_carlo(protocol_id, code, params, trials, rng):
     n = params.n
     _, _, klen = check_instance(protocol_id, code, n)
     xbytes = 4 * -(-n // 32)
-    limit = math.ceil(Fraction(params.p) * 2**64)
+    limit = math.ceil(Fraction(params.p) * 2**32)
     errors = 0
     for _ in range(trials):
         row = rng.randbytes(_row_bytes(n, klen))
         x = int.from_bytes(row[:xbytes], "little") % 2**n
-        noise = struct.unpack_from(f"<{n}Q", row, xbytes)
+        noise = struct.unpack_from(f"<{n}I", row, xbytes)
         z = sum(2**i for i, word in enumerate(noise) if word < limit)
-        k = int.from_bytes(row[xbytes + 8 * n :], "little") % 2**klen
+        k = int.from_bytes(row[xbytes + 4 * n :], "little") % 2**klen
         xv, yv, kv = Gf2Vector(x, n), Gf2Vector(x ^ z, n), Gf2Vector(k, klen)
         errors += not run(protocol_id, code, xv, yv, kv).correct
     return errors
@@ -331,6 +331,65 @@ def test_batched_monte_carlo_matches_per_trial_reference(monkeypatch):
                     assert mc.half_width_3sigma == pytest.approx(
                         _wilson_half_width(errors, trials), rel=1e-12, abs=1e-15), case
                     assert rng.getstate() == ref.getstate(), (case, bound)
+
+
+class _EdgeRows(Random):
+    """A generator whose `randbytes` hands out whole trial rows whose noise
+    words sit at the edges of `limit`: limit - 1, limit, 0 and 2^32 - 1, in
+    turn along the row and rotated by one per row; x and the key are drawn."""
+
+    def __init__(self, n, klen, limit):
+        super().__init__(0)
+        self.n, self.klen, self.rows = n, klen, 0
+        self.edges = ((limit - 1) % 2**32, limit, 0, 2**32 - 1)
+
+    def randbytes(self, size):
+        width, xbytes = _row_bytes(self.n, self.klen), 4 * -(-self.n // 32)
+        assert size % width == 0
+        out = bytearray()
+        for t in range(self.rows, self.rows + size // width):
+            words = [self.edges[(t + i) % 4] for i in range(self.n)]
+            drawn = Random(t).randbytes(width - 4 * self.n)
+            out += drawn[:xbytes] + struct.pack(f"<{self.n}I", *words) + drawn[xbytes:]
+        self.rows += size // width
+        return bytes(out)
+
+
+@pytest.mark.parametrize("p, limit", [(0.0, 0), (1e-12, 1), (0.07, 300647711), (0.5, 2**31)])
+def test_noise_words_at_the_threshold_edges(monkeypatch, p, limit):
+    # A noise bit is set when its word is below ceil(p·2^32): so p = 0 never
+    # flips, p below 2^-32 flips on the word 0 alone, and p = 1/2 puts the
+    # limit at 2^31, compared as a uint32 with no promotion warning
+    # (warnings are errors in this suite).
+    assert math.ceil(Fraction(p) * 2**32) == limit
+    for n, klen in ((1, 0), (5, 3), (32, 32), (33, 33), (70, 70)):
+        rng = _EdgeRows(n, klen, limit)
+        width = _row_bytes(n, klen)
+        rows = np.frombuffer(rng.randbytes(8 * width), dtype=np.uint8).reshape(8, width)
+        z = analysis._batch_noise(rows, n, limit)
+        for j, row in enumerate(rows):
+            flips = sum(1 << i for i in range(n) if rng.edges[(j + i) % 4] < limit)
+            x, y, _ = analysis._trial_inputs(row.tobytes(), n, klen, limit)
+            assert analysis._word(z, j) == x ^ y == flips, (n, j)
+        assert limit > 0 or not z.any(), n
+
+    limits = []
+    noise = analysis._batch_noise
+
+    def spy(rows, n, limit):
+        limits.append(limit)
+        return noise(rows, n, limit)
+
+    monkeypatch.setattr(analysis, "_batch_noise", spy)
+    for proto, n, m in (("secure-km", 8, 5), ("plain-km", 12, 8), ("zero-error-otp", 70, 70)):
+        code = None if proto == "zero-error-otp" else build_code(n, m, seed=n)
+        params = DsbsParams(p=p, n=n)
+        _, _, klen = check_instance(proto, code, n)
+        errors = _reference_monte_carlo(proto, code, params, 300, _EdgeRows(n, klen, limit))
+        mc = monte_carlo_error(proto, code, params, 300, _EdgeRows(n, klen, limit))
+        assert mc.errors == errors, (proto, p)
+        assert p > 0.0 or errors == 0, proto
+    assert limits and set(limits) == {limit}
 
 
 def test_monte_carlo_self_checks_catch_faults(monkeypatch):
@@ -373,9 +432,8 @@ def test_the_three_decoders_agree():
     # `LinearCode.decode` on one syndrome, `decode` on a batch of them, and the
     # batch decoder the engines share all read the leader map. Every word of
     # (12, 8) and (18, 17) covers every syndrome; the wide codes take random
-    # words, and at (63, 1) a key fills all 64 bits. One syndrome at a time
-    # builds a map per call, so the scalar decode takes at most 4096 words:
-    # every word of (12, 8), so every syndrome, and every 64th of (18, 17).
+    # words, and at (63, 1) a key fills all 64 bits. The scalar decode takes
+    # each syndrome the words reach once: every syndrome of (12, 8) and (18, 17).
     rng = np.random.default_rng(11)
     for n, m in ((12, 8), (18, 17), (40, 20), (63, 16), (63, 1)):
         code = build_code(n, m, seed=n * m)
@@ -389,8 +447,9 @@ def test_the_three_decoders_agree():
         assert (np.bitwise_count(batch.bits) <= np.bitwise_count(z)).all(), (n, m)
         shared = analysis._batch_decoder(code.matrix.rows, code.leader_map(), n)(z.astype("<i8")[:, None])
         assert np.array_equal(shared[:, 0], batch.bits), (n, m)
-        step = max(1, len(z) // 4096)
-        for s, leader in zip(synd.bits[::step].tolist(), batch.bits[::step].tolist()):
+        _, first = np.unique(synd.bits, return_index=True)
+        assert n > 18 or len(first) == 1 << m, (n, m)
+        for s, leader in zip(synd.bits[first].tolist(), batch.bits[first].tolist()):
             assert code.decode(Gf2Vector(s, m)) == Gf2Vector(leader, n), (n, m, s)
 
 

@@ -550,40 +550,41 @@ def test_negative_zero_flip_rate_is_zero(tmp_path):
     assert _exit_and_streams(["sweep", "--protocol", "plain-km", "--m", "2", "--p", "--n", "4"])[0] == 2
 
 
-# SHA-256 of the stdout of command lines. Monte Carlo lines follow the CSV v2
+# SHA-256 of the stdout of command lines. Monte Carlo lines follow the CSV v3
 # trial layout, so a change to how trials are read or decoded that moves any
 # byte of an estimate shows here; exact lines show any moved byte of an exact
 # error, leakage or rate value.
 STDOUT_SHA256 = {
     "simulate --protocol zero-error-otp --n 70 --p 0.1 --trials 3000":
-        "3c5a2529571f05caa1c693f1e9471c3c78fc40404435c299edb388a36e1392b5",
+        "d92d9e6b829a876f0eb96141ea063e1bd6cbbf16712c8d6dc99334b1a465fcbe",
     "simulate --protocol secure-km --n 63 --m 20 --p 0.05 --trials 20000":
-        "1fa1c2c2c68a716c443e3be6bb8c9e911c0e6fcf076b411864227192ba6f419f",
+        "6301ba69e62ba209ec80e9f574caa825a1cab8bfaf7e3f101c2a839daca39878",
     "simulate --protocol plain-km --n 40 --m 24 --p 0.2 --trials 5000":
-        "2e872fc6ab2aa25be1537cbd1eeb5f1812ed5088f3bcb9a0ab7177cddca29767",
+        "454b7abb72ecfa81d4739c9976cfbc5c077b1fb362d759c5e4c95f1d4854130d",
     "sweep --protocol secure-km,plain-km,zero-error-otp --n 1,5,33 --rate 0.5 --p 0,0.5,0.07"
     " --mode both --trials 777 --seeds 2":
-        "af25e356e5f94f115d923af6db84e6c5569cb15613a820eee5141f443ff5c836",
+        "2a63420139dc9e7bc02495d9435bc96e170de4b6b4f72efb180990f9f14a45f4",
     "leakage --protocol secure-km --n 12 --m 6 --p 0.1":
-        "cc93622507bc4d3b0b330b6afaf5d55e328957be5e46316e83683807e12e738d",
+        "b8517305011c0beadfd5e71fad56ba5d5e115b4475487d0919b703db3a60dd9b",
     "leakage --protocol plain-km --n 20 --m 10 --p 0.05 --seed 3":
-        "c64ff81fa4b2db1e5e5deac0462d59290d21d6a724bf72a5c816ab6bc3831ca6",
+        "2b950baef821f9876f092bc332f3676e77f3064141bedfaa161631aa017ae61c",
     "leakage --protocol zero-error-otp --n 9 --p 0.2":
-        "e0277aee3b5463d63913281de1d37c830967ad4a673bb6fc3e4c6428f9282eb1",
+        "dc63918b0fa789c63bd77c8045092e9daaba6353984f1ab556c4879719c80e0b",
     "sweep --protocol secure-km,plain-km,zero-error-otp --n 4,9 --rate 0.5 --p 0.1,0.3 --mode leakage"
     " --seeds 2":
-        "e2b43d8b9730acce7b46ec3932b28bb0e071685e440ae050e3fc701e811cb82a",
+        "2184d141b7a3f8c607f76e53c602c61e120a4728d0d9911af3e2c82486e95fd3",
     # Exact error alone: no line above it decodes a word with these codes.
     "sweep --protocol secure-km,plain-km --n 12,20,22 --rate 0.6 --p 0.05 --mode exact --seeds 3"
     " --aggregate":
-        "a6a7018e9a5ff473f4f5ece5998d046ddf82ccecafc5df13334a6a306f414999",
-    # A 2^22-cell syndrome law, recorded when its passes ran in blocks of 2^20 cells.
+        "c693ead1ca87a153511a592e98e6c0669c192acc02dae69166e3a502d81edd4d",
+    # A 2^22-cell syndrome law; its rows were recorded when its passes ran in
+    # blocks of 2^20 cells.
     "leakage --protocol plain-km --n 26 --m 22 --p 0.1 --seed 4":
-        "675535c7aaeea8a53dcac6ea8f477f7dcd2b29dc665b7dff642c9ea62d0ea17f",
-    # At (63, 1) a min-plus key fills all 64 bits; recorded when the leaders
-    # were a table rewritten over the keys.
+        "5f696c2107fcf2c2b96fc9edd6565c4e4a2f3a43684c9e80a36eb8d1c4998fc0",
+    # At (63, 1) a min-plus key fills all 64 bits; its exact error was recorded
+    # when the leaders were a table rewritten over the keys.
     "simulate --protocol secure-km --n 63 --m 1 --p 0.1 --trials 2000 --mode both":
-        "0ef7a4e0b527afd47b28caa5df9cb32ada0f2538d1b62a0d2ad4329ab4bff308",
+        "e1fa67ee5285507d214a8a0a748abd0584206993334ed4ae47b7d04588faf5fd",
 }
 
 

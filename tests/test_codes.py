@@ -282,7 +282,8 @@ def test_a_code_holds_its_leaders_as_read_only_keys_alone(monkeypatch):
         with pytest.raises(ValueError, match="read-only"):
             code.keys >>= np.uint64(1)
         assert np.array_equal(leader_table(code), _sorted_leader_reference(code.matrix)), (n, m)
-    # Building a code and its exact error build no byte table: only a decode builds the leader map.
+    # Building a code, its exact error and a scalar decode build no byte table:
+    # only a batch decode builds the leader map.
     def unbuilt(images):
         raise AssertionError("a leader map was built")
     monkeypatch.setattr(codes_module, "linear_map", unbuilt)
@@ -290,8 +291,9 @@ def test_a_code_holds_its_leaders_as_read_only_keys_alone(monkeypatch):
     assert 0.0 < exact_error_probability(code, 0.05) < 1.0
     argv = "sweep --protocol secure-km,plain-km --n 12,20 --rate 0.6 --p 0.05 --mode exact --seeds 2"
     assert cli_main(argv.split()) == 0
+    assert code.decode(Gf2Vector.zeros(12)) == Gf2Vector.zeros(20)
     with pytest.raises(AssertionError, match="leader map was built"):  # the patch does reach decoding
-        code.decode(Gf2Vector.zeros(12))
+        code.decode(Gf2Batch(np.zeros(1, dtype=np.int64), 12))
 
 
 def test_build_code_deterministic_and_full_rank():
